@@ -29,7 +29,6 @@ from .errors import (
 )
 from .field import GF, Field, FieldElement
 from .lcd import (
-    CartesianScalars,
     LcdReport,
     SearchRecord,
     SearchTruncation,
@@ -78,7 +77,6 @@ __all__ = [
     "Matrix",
     "CartesianSet",
     "CartesianSpec",
-    "CartesianScalars",
     "LinearCode",
     "LcdReport",
     "DistanceDecomposition",

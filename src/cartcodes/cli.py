@@ -19,7 +19,7 @@ from .codes import (
     generator_matrix,
     parameter_report,
 )
-from .errors import InconsistencyError
+from .errors import InconsistencyError, NotLcdError
 from .field import Field
 from .linalg import Matrix
 from .lcd import (
@@ -100,6 +100,8 @@ def parse_scalars(field: Field, cset: CartesianSet, text: str):
         flat = [field.element(int(x)) for x in text.split(",")]
         if len(flat) != cset.size:
             raise ValueError(f"expected {cset.size} scalars, got {len(flat)}")
+        if any(v.val == 0 for v in flat):
+            raise ValueError("scalars must be nonzero")
         return tuple(flat)
     except ValueError as exc:
         raise UsageError(f"--scalars: {exc}") from exc
@@ -116,6 +118,16 @@ def parse_range(text: str, flag: str) -> list[int]:
         return [int(text)]
     except ValueError as exc:
         raise UsageError(f"{flag}: expected N or LO:HI, got {text!r}") from exc
+
+
+def parse_scalar_policy(text: str) -> str:
+    """'ones', 'exhaustive', or 'random:N'."""
+    kind, _, count = text.partition(":")
+    if text in ("ones", "exhaustive") or (kind == "random" and count.isdigit()):
+        return text
+    raise UsageError(
+        f"--scalar-policy: expected 'ones', 'exhaustive' or 'random:N', got {text!r}"
+    )
 
 
 def build_spec(args) -> CartesianSpec:
@@ -233,7 +245,7 @@ def cmd_search(args) -> int:
         args.m,
         sizes,
         ks,
-        scalar_policy=args.scalar_policy,
+        scalar_policy=parse_scalar_policy(args.scalar_policy),
         budget=args.budget,
         seed=args.seed,
     ):
@@ -463,6 +475,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NotLcdError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3

@@ -134,10 +134,6 @@ class LinearCode:
                         word[j] = word[j] + m * a
             yield tuple(word)
 
-    def canonical_generator(self) -> Matrix:
-        """RREF form of the generator, for row-space comparisons."""
-        return self.generator.rref()[0].nonzero_rows()
-
 
 # -- closed-form parameters ------------------------------------------------------
 

@@ -9,10 +9,16 @@ raise instead of coercing.
 For small orders every element is interned and full addition/multiplication
 tables are precomputed, so arithmetic is a single table lookup with no
 allocation.  This is what keeps the exhaustive cross-validation sweeps fast.
+
+This is the only module that knows how a field does its arithmetic.  The
+elimination and polynomial kernels elsewhere run on raw integer codes
+through the primitives each :class:`Field` carries (see
+:meth:`Field._make_primitives`).
 """
 
 from __future__ import annotations
 
+from operator import mul as _int_mul
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError
@@ -287,7 +293,12 @@ class Field:
         "_mul_t",
         "_neg_t",
         "_inv_t",
-        "_val_ops",
+        "mul",
+        "neg",
+        "inv",
+        "dot",
+        "sub_mul",
+        "scale",
     )
 
     def __init__(
@@ -329,9 +340,11 @@ class Field:
         self._mul_t = None
         self._neg_t = None
         self._inv_t = None
-        self._val_ops = None
         if self.order <= _TABLE_MAX_ORDER:
             self._build_tables()
+        (self.mul, self.neg, self.inv, self.dot, self.sub_mul, self.scale) = (
+            self._make_primitives()
+        )
 
     # -- raw arithmetic on integer codes -----------------------------------
 
@@ -400,54 +413,99 @@ class Field:
         self._mul_t = mul_t
         self._inv_t = [None] + [elems[self._inv_val(v)] for v in range(1, q)]
 
-    def val_ops(self):
-        """(mul, sub, inv) callables on integer element codes.
+    def _make_primitives(self):
+        """The arithmetic primitives on integer element codes.
 
-        The exact-elimination kernels run on raw codes to dodge per-element
-        dispatch; these closures are the only arithmetic they use, so prime
-        and extension fields share one code path.
+        The elimination and polynomial kernels run on raw codes to dodge
+        per-element dispatch, and these callables are the only arithmetic
+        they use, so every field shares one spelling of each kernel:
+
+        - ``mul(a, b)``, ``neg(a)``, and ``inv(a)`` for nonzero ``a``;
+        - ``dot(x, y)``: the sum of ``x[j] * y[j]``;
+        - ``sub_mul(y, a, x, shift)``: the row update
+          ``y[shift + j] -= a * x[j]`` for every ``j``, in place;
+        - ``scale(x, a, lo)``: ``x[j] *= a`` for every ``j >= lo``, in place.
+
+        Prime fields compute with inline ``% p``; other fields look codes
+        up in flat integer tables when the field is tabled and fall back to
+        coefficient-vector arithmetic when it is not.  ``sub_mul`` skips
+        zero entries of ``x``, so sparse rows cost less.
         """
-        if self._val_ops is not None:
-            return self._val_ops
-        self._val_ops = self._make_val_ops()
-        return self._val_ops
-
-    def _make_val_ops(self):
         if self.extension_degree == 1:
             p = self.p
 
             def mul(a, b):
                 return a * b % p
 
-            def sub(a, b):
-                return (a - b) % p
+            def neg(a):
+                return -a % p
 
             def inv(a):
                 return pow(a, p - 2, p)
 
-            return mul, sub, inv
+            def dot(x, y):
+                return sum(map(_int_mul, x, y)) % p
+
+            def sub_mul(y, a, x, shift):
+                for j, v in enumerate(x, shift):
+                    if v:
+                        y[j] = (y[j] - a * v) % p
+
+            def scale(x, a, lo):
+                for j in range(lo, len(x)):
+                    if x[j]:
+                        x[j] = a * x[j] % p
+
+            return mul, neg, inv, dot, sub_mul, scale
         if self._mul_t is not None:
             q = self.order
-            mul_t = [x.val for x in self._mul_t]
-            add_t = [x.val for x in self._add_t]
-            neg_t = [x.val for x in self._neg_t]
-            inv_t = [0] + [x.val for x in self._inv_t[1:]]
+            add_v = [x.val for x in self._add_t]
+            mul_v = [x.val for x in self._mul_t]
+            neg_v = [x.val for x in self._neg_t]
+            inv_v = [0] + [x.val for x in self._inv_t[1:]]
 
             def mul(a, b):
-                return mul_t[a * q + b]
+                return mul_v[a * q + b]
 
-            def sub(a, b):
-                return add_t[a * q + neg_t[b]]
+            def dot(x, y):
+                acc = 0
+                for u, v in zip(x, y):
+                    acc = add_v[acc * q + mul_v[u * q + v]]
+                return acc
 
-            def inv(a):
-                return inv_t[a]
+            def sub_mul(y, a, x, shift):
+                row = neg_v[a] * q
+                for j, v in enumerate(x, shift):
+                    if v:
+                        y[j] = add_v[y[j] * q + mul_v[row + v]]
 
-            return mul, sub, inv
+            def scale(x, a, lo):
+                row = a * q
+                for j in range(lo, len(x)):
+                    x[j] = mul_v[row + x[j]]
 
-        def sub_slow(a, b):
-            return self._add_val(a, self._neg_val(b))
+            return mul, neg_v.__getitem__, inv_v.__getitem__, dot, sub_mul, scale
+        add, mul, neg = self._add_val, self._mul_val, self._neg_val
 
-        return self._mul_val, sub_slow, self._inv_val
+        def dot(x, y):
+            acc = 0
+            for u, v in zip(x, y):
+                if u and v:
+                    acc = add(acc, mul(u, v))
+            return acc
+
+        def sub_mul(y, a, x, shift):
+            na = neg(a)
+            for j, v in enumerate(x, shift):
+                if v:
+                    y[j] = add(y[j], mul(na, v))
+
+        def scale(x, a, lo):
+            for j in range(lo, len(x)):
+                if x[j]:
+                    x[j] = mul(a, x[j])
+
+        return mul, neg, self._inv_val, dot, sub_mul, scale
 
     # -- element construction ----------------------------------------------
 
@@ -521,6 +579,10 @@ class Field:
 
     def __hash__(self):
         return hash((self.p, self.extension_degree, self.modulus))
+
+    def __reduce__(self):
+        # The primitives are closures, which pickle cannot store; rebuild.
+        return Field, (self.p, self.extension_degree, self.modulus)
 
     def __repr__(self):
         if self.extension_degree == 1:

@@ -83,40 +83,27 @@ class LcdReport:
         return out
 
 
-@dataclass(frozen=True)
-class CartesianScalars:
-    """Per-component scalar vectors and their product vector on the grid.
-
-    The product entry at a grid point is the product of the component
-    scalars picked out by that point's coordinates, in grid point order.
-    """
-
-    component_vectors: tuple[tuple[FieldElement, ...], ...]
-
-    def __post_init__(self):
-        for vec in self.component_vectors:
-            if not vec:
-                raise ValueError("component scalar vectors must be non-empty")
-            if any(v.val == 0 for v in vec):
-                raise ValueError("component scalars must be nonzero")
-
-    @property
-    def product_vector(self) -> tuple[FieldElement, ...]:
-        out = []
-        for combo in itertools.product(*self.component_vectors):
-            acc = combo[0]
-            for v in combo[1:]:
-                acc = acc * v
-            out.append(acc)
-        return tuple(out)
-
-
 def cartesian_scalars(
     component_vectors: Sequence[Sequence[FieldElement]],
 ) -> tuple[FieldElement, ...]:
-    return CartesianScalars(
-        tuple(tuple(vec) for vec in component_vectors)
-    ).product_vector
+    """The product vector on the grid of per-component scalar vectors.
+
+    The entry at a grid point is the product of the component scalars
+    picked out by that point's coordinates, in grid point order.
+    """
+    vectors = [tuple(vec) for vec in component_vectors]
+    for vec in vectors:
+        if not vec:
+            raise ValueError("component scalar vectors must be non-empty")
+        if any(v.val == 0 for v in vec):
+            raise ValueError("component scalars must be nonzero")
+    out = []
+    for combo in itertools.product(*vectors):
+        acc = combo[0]
+        for v in combo[1:]:
+            acc = acc * v
+        out.append(acc)
+    return tuple(out)
 
 
 # -- the univariate (generalized Reed-Solomon) criterion ------------------------

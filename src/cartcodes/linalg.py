@@ -4,8 +4,11 @@ Plain Gaussian elimination with the first nonzero entry as pivot; exact
 arithmetic needs no pivoting heuristics.  This module is the brute-force
 oracle layer, so it stays deliberately simple — but because the
 cross-validation sweeps call it millions of times, the elimination core
-works on raw integer element codes with field-supplied arithmetic
-closures, and matrices convert at the boundary.
+works on raw integer element codes through the arithmetic primitives
+every field carries (the row update ``sub_mul``, ``scale``, ``dot``,
+``mul``, ``neg`` and ``inv``; see ``Field._make_primitives``), and
+matrices convert at the boundary.  Each kernel has one body for every
+field: how a field computes is known to ``field.py`` alone.
 """
 
 from __future__ import annotations
@@ -17,78 +20,27 @@ from .field import Field, FieldElement
 
 
 def _rref_vals(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
-    """In-place reduced row echelon form on code rows; returns pivot cols.
-
-    One algorithm, two arithmetic spellings: inline modular ints for prime
-    fields (the hot case), field-supplied closures otherwise.
-    """
+    """In-place reduced row echelon form on code rows; returns pivot cols."""
+    inv, sub_mul, scale = field.inv, field.sub_mul, field.scale
     pivots = []
     r = 0
     nrows = len(rows)
-    if field.extension_degree == 1:
-        p = field.p
-        for c in range(ncols):
-            pivot_row = -1
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row < 0:
-                continue
-            if pivot_row != r:
-                rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            row = rows[r]
-            lead = row[c]
-            if lead != 1:
-                fac = pow(lead, p - 2, p)
-                for j in range(c, ncols):
-                    if row[j]:
-                        row[j] = fac * row[j] % p
-            for i in range(nrows):
-                if i == r:
-                    continue
-                other = rows[i]
-                factor = other[c]
-                if factor:
-                    other[c] = 0
-                    for j in range(c + 1, ncols):
-                        x = row[j]
-                        if x:
-                            other[j] = (other[j] - factor * x) % p
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return pivots
-    mul, sub, inv = field.val_ops()
     for c in range(ncols):
-        pivot_row = -1
         for i in range(r, nrows):
             if rows[i][c]:
-                pivot_row = i
                 break
-        if pivot_row < 0:
+        else:
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rows[r], rows[i] = rows[i], rows[r]
         row = rows[r]
-        lead = row[c]
-        if lead != 1:
-            fac = inv(lead)
-            for j in range(c, ncols):
-                if row[j]:
-                    row[j] = mul(fac, row[j])
-        for i in range(nrows):
-            if i == r:
-                continue
-            other = rows[i]
+        if row[c] != 1:
+            scale(row, inv(row[c]), c)
+        tail = row[c + 1 :]
+        for other in rows:
             factor = other[c]
-            if factor:
+            if factor and other is not row:
                 other[c] = 0
-                for j in range(c + 1, ncols):
-                    x = row[j]
-                    if x:
-                        other[j] = sub(other[j], mul(factor, x))
+                sub_mul(other, factor, tail, c + 1)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -98,31 +50,15 @@ def _rref_vals(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
 
 def _gram_vals(field: Field, rows: list[list[int]]) -> list[list[int]]:
     """rows @ rows^T on integer codes."""
-    if field.extension_degree == 1:
-        p = field.p
-        return [
-            [sum(x * y for x, y in zip(r1, r2)) % p for r2 in rows] for r1 in rows
-        ]
-    mul, _, _ = field.val_ops()
-    add = field._add_val
-    out = []
-    for r1 in rows:
-        out_row = []
-        for r2 in rows:
-            acc = 0
-            for x, y in zip(r1, r2):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    dot = field.dot
+    return [[dot(r1, r2) for r2 in rows] for r1 in rows]
 
 
 def _nullspace_vals(field: Field, rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis rows (integer codes) of the right kernel; consumes ``rows``."""
     pivots = _rref_vals(field, rows, ncols)
     pivot_set = set(pivots)
-    _, sub, _ = field.val_ops()
+    neg = field.neg
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
@@ -132,7 +68,7 @@ def _nullspace_vals(field: Field, rows: list[list[int]], ncols: int) -> list[lis
         for i, pc in enumerate(pivots):
             x = rows[i][fc]
             if x:
-                vec[pc] = sub(0, x)
+                vec[pc] = neg(x)
         basis.append(vec)
     return basis
 
@@ -237,28 +173,9 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         field = self.field
-        get = field._get
-        a_rows = self._val_rows()
+        get, dot = field._get, field.dot
         b_cols = list(zip(*other._val_rows())) if other.rows else [()] * other.ncols
-        if field.extension_degree == 1:
-            p = field.p
-            out = [
-                [get(sum(x * y for x, y in zip(row, col)) % p) for col in b_cols]
-                for row in a_rows
-            ]
-        else:
-            mul, sub, _ = field.val_ops()
-            add = field._add_val
-            out = []
-            for row in a_rows:
-                out_row = []
-                for col in b_cols:
-                    acc = 0
-                    for x, y in zip(row, col):
-                        if x and y:
-                            acc = add(acc, mul(x, y))
-                    out_row.append(get(acc))
-                out.append(out_row)
+        out = [[get(dot(row, col)) for col in b_cols] for row in self._val_rows()]
         return Matrix(field, out, other.ncols)
 
     def row_vector_mul(self, vector: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
@@ -322,35 +239,27 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("determinant is defined for square matrices")
         field = self.field
-        mul, sub, inv = field.val_ops()
+        mul, neg, inv, sub_mul = field.mul, field.neg, field.inv, field.sub_mul
         n = self.nrows
         rows = self._val_rows()
         det = 1
-        negate = False
         for c in range(n):
-            pivot_row = -1
             for i in range(c, n):
                 if rows[i][c]:
-                    pivot_row = i
                     break
-            if pivot_row < 0:
+            else:
                 return field.zero
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                negate = not negate
+            if i != c:
+                rows[c], rows[i] = rows[i], rows[c]
+                det = neg(det)
             lead = rows[c][c]
             det = mul(det, lead)
             fac = inv(lead)
+            tail = rows[c][c:]
             for i in range(c + 1, n):
                 factor = rows[i][c]
                 if factor:
-                    factor = mul(factor, fac)
-                    for j in range(c, n):
-                        x = rows[c][j]
-                        if x:
-                            rows[i][j] = sub(rows[i][j], mul(factor, x))
-        if negate:
-            det = sub(0, det)
+                    sub_mul(rows[i], mul(factor, fac), tail, c)
         return field._get(det)
 
     # -- row-space queries --------------------------------------------------------

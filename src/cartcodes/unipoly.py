@@ -114,24 +114,16 @@ class Poly:
         if not a or not b:
             return Poly.zero(self.field)
         field = self.field
-        av = [c.val for c in a]
+        if len(a) > len(b):
+            a, b = b, a
+        # One row update per coefficient of the shorter factor, so that a
+        # product with a linear factor costs two updates.
+        neg, sub_mul = field.neg, field.sub_mul
         bv = [c.val for c in b]
-        out = [0] * (len(av) + len(bv) - 1)
-        if field.extension_degree == 1:
-            for i, ai in enumerate(av):
-                if ai:
-                    for j, bj in enumerate(bv):
-                        out[i + j] += ai * bj
-            p = field.p
-            out = [x % p for x in out]
-        else:
-            mul, _, _ = field.val_ops()
-            add = field._add_val
-            for i, ai in enumerate(av):
-                if ai:
-                    for j, bj in enumerate(bv):
-                        if bj:
-                            out[i + j] = add(out[i + j], mul(ai, bj))
+        out = [0] * (len(a) + len(bv) - 1)
+        for i, c in enumerate(a):
+            if c.val:
+                sub_mul(out, neg(c.val), bv, i)
         get = field._get
         return Poly(field, [get(v) for v in out])
 
@@ -157,30 +149,16 @@ class Poly:
             return Poly.zero(field), self
         rem = [c.val for c in self.coeffs]
         b = [c.val for c in other.coeffs]
+        low = b[:db]
+        mul, sub_mul = field.mul, field.sub_mul
+        inv_lead = field.inv(b[-1])
         quot = [0] * (len(rem) - db)
-        if field.extension_degree == 1:
-            p = field.p
-            inv_lead = pow(b[-1], p - 2, p)
-            while len(rem) - 1 >= db:
-                factor = rem[-1] * inv_lead % p
-                if factor:
-                    shift = len(rem) - 1 - db
-                    quot[shift] = factor
-                    for i in range(db):
-                        rem[shift + i] = (rem[shift + i] - factor * b[i]) % p
-                rem.pop()
-        else:
-            mul, sub, inv = field.val_ops()
-            inv_lead = inv(b[-1])
-            while len(rem) - 1 >= db:
-                factor = mul(rem[-1], inv_lead)
-                if factor:
-                    shift = len(rem) - 1 - db
-                    quot[shift] = factor
-                    for i in range(db):
-                        if b[i]:
-                            rem[shift + i] = sub(rem[shift + i], mul(factor, b[i]))
-                rem.pop()
+        while len(rem) > db:
+            factor = mul(rem.pop(), inv_lead)
+            if factor:
+                shift = len(rem) - db
+                quot[shift] = factor
+                sub_mul(rem, factor, low, shift)
         get = field._get
         return (
             Poly(field, [get(v) for v in quot]),

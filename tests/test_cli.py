@@ -175,9 +175,11 @@ def test_masking_transcript_deterministic(capsys):
 
 
 def test_masking_rejects_non_lcd(capsys):
-    with pytest.raises(Exception):
-        run(capsys, "masking", "--field", "7", "--set", "0,1,2",
-            "--scalars", "1,1,2", "--k", "2")
+    code, out, err = run(capsys, "masking", "--field", "7", "--set", "0,1,2",
+                         "--scalars", "1,1,2", "--k", "2")
+    assert code == 1
+    assert out == ""
+    assert "is not LCD" in err and len(err.strip().splitlines()) == 1
 
 
 def test_usage_errors_exit_two(capsys):
@@ -189,11 +191,17 @@ def test_usage_errors_exit_two(capsys):
         ("params", "--field", "7", "--set", "0,1,2", "--scalars", "0,1,1", "--k", "1"),
         ("lcd", "--field", "7", "--set", "0,1,2"),
         ("params", "--field", "2^2:1,0,1", "--set", "0,1", "--k", "1"),
+        ("lcd", "--field", "7", "--set", "0,1,2", "--scalars", "1,1,0", "--k", "2"),
+        ("search", "--field", "7", "--sizes", "3", "--k-range", "1:2",
+         "--scalar-policy", "bogus"),
     ]
+    named = {cases[-2]: "--scalars", cases[-1]: "--scalar-policy"}
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.strip(), argv
+        if argv in named:
+            assert err.startswith(f"error: {named[argv]}:"), argv
 
 
 def test_extension_field_cli(capsys):

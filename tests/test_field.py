@@ -137,3 +137,14 @@ def test_extension_field_without_tables():
     assert (a * b) * a.inverse() == b
     assert a ** (729 - 1) == f729.one
     assert (a - b) + b == a
+
+
+def test_fields_and_elements_pickle():
+    import pickle
+
+    for field in (F7, F4, GF(1009), GF(3, 6)):
+        copy = pickle.loads(pickle.dumps(field))
+        assert copy == field
+        assert copy.mul(2, 3) == field.mul(2, 3)
+        element = field.element(3)
+        assert pickle.loads(pickle.dumps(element)) == element

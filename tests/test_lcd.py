@@ -5,7 +5,6 @@ import pytest
 
 from cartcodes import (
     GF,
-    CartesianScalars,
     CartesianSet,
     CartesianSpec,
     MPoly,
@@ -231,7 +230,7 @@ def test_cartesian_scalars_definition():
     for entry, (i, j) in zip(product, itertools.product(range(2), range(3))):
         assert entry == v1[i] * v2[j]
     with pytest.raises(ValueError):
-        CartesianScalars(((F7.zero,),))
+        cartesian_scalars([[F7.zero]])
 
 
 def test_product_sufficiency_reference_grids():

@@ -41,6 +41,8 @@ CASES = 1000
 SMALL_FIELDS = [GF(q) for q in (2, 3, 5, 7, 11, 13)]
 EXTENSION_FIELDS = [GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4), GF(5, 2), GF(3, 3)]
 AXIOM_FIELDS = SMALL_FIELDS + EXTENSION_FIELDS
+# above the table limit: arithmetic on demand, prime and extension
+UNTABLED_FIELDS = [GF(1009), GF(3, 6)]
 
 # every prime power up to 64
 ALL_ORDERS_LE_64 = [
@@ -133,7 +135,7 @@ def test_inverse_involution():
 def test_eea_invariants():
     rng = random.Random(0xEEA)
     for _ in range(CASES):
-        field = rng.choice(SMALL_FIELDS[2:])  # q >= 5 for room
+        field = rng.choice(SMALL_FIELDS[2:] + UNTABLED_FIELDS)  # q >= 5 for room
         A = random_subset(rng, field, 2, 5)
         v = random_scalars(rng, field, len(A))
         L = vanishing_poly(A)
@@ -276,7 +278,7 @@ def random_matrix(rng, field, r, c):
 def test_rank_invariances():
     rng = random.Random(0x2A4C)
     for _ in range(CASES):
-        field = rng.choice(SMALL_FIELDS + EXTENSION_FIELDS[:2])
+        field = rng.choice(SMALL_FIELDS + EXTENSION_FIELDS[:2] + UNTABLED_FIELDS)
         m = random_matrix(rng, field, rng.randrange(1, 5), rng.randrange(1, 5))
         rank = m.rank()
         assert rank == m.transpose().rank()
@@ -306,7 +308,7 @@ def test_intersection_dimension_formula():
 def test_nullspace_orthogonal_exact():
     rng = random.Random(0x0237)
     for _ in range(CASES):
-        field = rng.choice(SMALL_FIELDS + EXTENSION_FIELDS[:2])
+        field = rng.choice(SMALL_FIELDS + EXTENSION_FIELDS[:2] + UNTABLED_FIELDS)
         m = random_matrix(rng, field, rng.randrange(1, 4), rng.randrange(1, 6))
         ns = m.nullspace()
         assert ns.nrows == m.ncols - m.rank()
