@@ -143,7 +143,14 @@ def build_spec(args) -> CartesianSpec:
 # -- subcommands -------------------------------------------------------------------
 
 
+def _check_at_least(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise UsageError(f"{flag}: must be at least {low}, got {value}")
+
+
 def cmd_params(args) -> int:
+    if args.budget is not None:
+        _check_at_least(args.budget, 0, "--budget")
     spec = build_spec(args)
     report = parameter_report(spec, brute_budget=args.budget)
     code = generator_matrix(spec)
@@ -238,8 +245,15 @@ def cmd_lcd(args) -> int:
 
 def cmd_search(args) -> int:
     field = parse_field(args.field)
+    _check_at_least(args.m, 1, "--m")
     sizes = parse_range(args.sizes, "--sizes")
+    _check_at_least(min(sizes), 1, "--sizes")
+    if max(sizes) > field.order:
+        raise UsageError(
+            f"--sizes: a component of {max(sizes)} points does not fit in {field}"
+        )
     ks = parse_range(args.k_range, "--k-range")
+    _check_at_least(min(ks), 1, "--k-range")
     for record in search_lcd(
         field,
         args.m,
@@ -254,6 +268,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_masking(args) -> int:
+    _check_at_least(args.trials, 0, "--trials")
     spec = build_spec(args)
     transcript = masking_transcript(
         spec,

@@ -396,22 +396,57 @@ class Field:
         return result
 
     def _build_tables(self):
+        """Element tables for addition, multiplication, negation, inverse.
+
+        Prime fields compute each entry inline.  Extension fields read
+        products off the exponent and logarithm tables of their smallest
+        primitive element, and sums off the base-p digit recurrence
+        ``a + b = (a // p + b // p) * p + (a % p + b % p) % p``, so that
+        building costs O(q^2) table lookups rather than O(q^2) polynomial
+        products.
+        """
         q = self.order
         elems = [FieldElement(self, v) for v in range(q)]
         self._elems = elems
         self._neg_t = [elems[self._neg_val(v)] for v in range(q)]
-        add_t = [None] * (q * q)
-        mul_t = [None] * (q * q)
+        if self.extension_degree == 1:
+            self._add_t = [elems[(a + b) % q] for a in range(q) for b in range(q)]
+            self._mul_t = [elems[a * b % q] for a in range(q) for b in range(q)]
+            self._inv_t = [None] + [elems[self._inv_val(v)] for v in range(1, q)]
+            return
+        p = self.p
+        exp = self._primitive_powers()
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        exp = exp + exp  # exp[i + j] for i, j < q - 1 without a reduction
+        add_v = [0] * (q * q)
         for a in range(q):
-            base = a * q
-            for b in range(a, q):
-                s = elems[self._add_val(a, b)]
-                m = elems[self._mul_val(a, b)]
-                add_t[base + b] = add_t[b * q + a] = s
-                mul_t[base + b] = mul_t[b * q + a] = m
-        self._add_t = add_t
+            row, high = a * q, (a // p) * q
+            a0 = a % p
+            for b in range(q):
+                add_v[row + b] = add_v[high + b // p] * p + (a0 + b % p) % p
+        zero = elems[0]
+        mul_t = [zero] * q
+        for la in log[1:]:
+            row = exp[la:]
+            mul_t.append(zero)
+            mul_t += [elems[row[lb]] for lb in log[1:]]
+        self._add_t = [elems[v] for v in add_v]
         self._mul_t = mul_t
-        self._inv_t = [None] + [elems[self._inv_val(v)] for v in range(1, q)]
+        self._inv_t = [None] + [elems[exp[q - 1 - la]] for la in log[1:]]
+
+    def _primitive_powers(self) -> list[int]:
+        """Codes of g^0, ..., g^(q-2) for the smallest primitive element g,
+        found by walking the powers of each candidate back to 1."""
+        for g in range(2, self.order):
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = self._mul_val(x, g)
+            if len(powers) == self.order - 1:
+                return powers
+        raise AssertionError(f"no primitive element in {self}")
 
     def _make_primitives(self):
         """The arithmetic primitives on integer element codes.

@@ -3,10 +3,12 @@
 For one-dimensional point sets the decision is exact and fast: run the
 extended Euclidean algorithm on the set's vanishing polynomial L and the
 code's associated polynomial H, and read the answer off the remainder
-degrees.  Two independent brute-force routes (Gram-matrix rank and an
-explicit intersection of the code with its dual) back every analytic
-verdict; product grids additionally get the one-directional component
-criteria.
+degrees.  The Euclidean sequence runs on integer element codes; its Bezout
+data becomes polynomial objects only when asked for, through
+:attr:`UnivariateLcdAnalysis.eea`.  Two independent brute-force routes
+(Gram-matrix rank and an explicit intersection of the code with its dual)
+back every analytic verdict; product grids additionally get the
+one-directional component criteria.
 
 A note on the remainder-degree rule: the gap criterion says the code of
 degree k fails to be LCD exactly when n - k falls strictly between two
@@ -19,6 +21,7 @@ X^(n-1) in H is the sum of the squared scalars, which can vanish).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -41,7 +44,14 @@ from .linalg import (
     _rref_vals,
 )
 from .multipoly import CartesianSet, MPoly, lagrange_point
-from .unipoly import EeaResult, Poly, eea_sequence, lagrange_term, vanishing_poly
+from .unipoly import (
+    EeaResult,
+    Poly,
+    _divmod_vals,
+    _eea_vals,
+    eea_sequence,
+    vanishing_poly,
+)
 
 LCD = "lcd"
 NOT_LCD = "not-lcd"
@@ -111,28 +121,46 @@ def cartesian_scalars(
 
 class PointSetData:
     """Per-point-set polynomials, reusable across many scalar vectors:
-    the vanishing polynomial L and the single-point Lagrange factors."""
+    the vanishing polynomial L and the single-point Lagrange factors.
 
-    __slots__ = ("points", "L", "lagrange_terms")
+    Each factor is the exact quotient L / (X - a), so a set of n points
+    costs O(n^2).  ``L_vals`` and ``lagrange_vals`` hold L and the factors
+    as code lists.
+    """
+
+    __slots__ = ("points", "field", "L", "L_vals", "lagrange_vals")
 
     def __init__(self, points: Sequence[FieldElement]):
         self.points = tuple(points)
         self.L = vanishing_poly(self.points)
-        self.lagrange_terms = tuple(lagrange_term(self.points, a) for a in self.points)
+        self.field = field = self.L.field
+        self.L_vals = L_vals = [c.val for c in self.L.coeffs]
+        neg = field.neg
+        self.lagrange_vals = tuple(
+            _divmod_vals(field, L_vals, [neg(a.val), 1])[0] for a in self.points
+        )
 
-    def associated_poly(self, scalars: Sequence[FieldElement]) -> Poly:
+    @property
+    def lagrange_terms(self) -> tuple[Poly, ...]:
+        """The factors as polynomials, built on each access."""
+        return tuple(Poly._from_vals(self.field, term) for term in self.lagrange_vals)
+
+    def _associated_vals(self, scalars: Sequence[FieldElement]) -> list[int]:
         if len(scalars) != len(self.points):
             raise ValueError("need one scalar per point")
         if any(v.val == 0 for v in scalars):
             raise ValueError("scalars must be nonzero")
-        field = self.points[0].field
-        acc = [field.zero] * len(self.points)
-        for term, v in zip(self.lagrange_terms, scalars):
-            v2 = v * v
-            for i, c in enumerate(term.coeffs):
-                if c.val:
-                    acc[i] = acc[i] + v2 * c
-        return Poly(field, acc)
+        field = self.field
+        mul, neg, sub_mul = field.mul, field.neg, field.sub_mul
+        acc = [0] * len(self.points)
+        for term, v in zip(self.lagrange_vals, scalars):
+            sub_mul(acc, neg(mul(v.val, v.val)), term, 0)
+        while acc and not acc[-1]:
+            acc.pop()
+        return acc
+
+    def associated_poly(self, scalars: Sequence[FieldElement]) -> Poly:
+        return Poly._from_vals(self.field, self._associated_vals(scalars))
 
 
 def associated_poly_univariate(
@@ -149,7 +177,10 @@ class UnivariateLcdAnalysis:
 
     Shares the Euclidean sequence across all degrees k, which is what makes
     scanning a k-range (or a whole search) cheap.  Pass ``set_data`` when
-    scanning many scalar vectors over one point set.
+    scanning many scalar vectors over one point set.  The sequence runs on
+    integer codes, checking the Bezout degree law on every row; the full
+    :class:`EeaResult` with its Bezout polynomials is built on first access
+    to :attr:`eea`.
     """
 
     def __init__(
@@ -164,9 +195,16 @@ class UnivariateLcdAnalysis:
         self.scalars = tuple(scalars)
         self.n = len(self.points)
         self.L = set_data.L
-        self.H = set_data.associated_poly(self.scalars)
-        self.eea: EeaResult = eea_sequence(self.L, self.H)
-        self.remainder_degrees = self.eea.remainder_degrees()
+        field = set_data.field
+        H_vals = set_data._associated_vals(self.scalars)
+        self.H = Poly._from_vals(field, H_vals)
+        remainders = _eea_vals(field, set_data.L_vals, H_vals)[0]
+        self.remainder_degrees = [len(r) - 1 for r in remainders[1:]]
+
+    @functools.cached_property
+    def eea(self) -> EeaResult:
+        """The full remainder sequence with Bezout data, built on request."""
+        return eea_sequence(self.L, self.H)
 
     def admissible_codimensions(self) -> frozenset:
         """All values of n - k for which the degree-k code is LCD: exactly

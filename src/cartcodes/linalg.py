@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import SingularMatrixError
+from .errors import FieldMismatchError, SingularMatrixError
 from .field import Field, FieldElement
 
 
@@ -168,11 +168,15 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise FieldMismatchError(
+                f"cannot multiply matrices over {field} and {other.field}"
+            )
         if self.ncols != other.nrows:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        field = self.field
         get, dot = field._get, field.dot
         b_cols = list(zip(*other._val_rows())) if other.rows else [()] * other.ncols
         out = [[get(dot(row, col)) for col in b_cols] for row in self._val_rows()]

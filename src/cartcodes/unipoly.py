@@ -4,6 +4,12 @@ Provides the arithmetic needed by the code constructions: long division,
 vanishing polynomials of point sets, single-point Lagrange factors, formal
 derivatives, interpolation, and the extended Euclidean remainder sequence
 with full Bezout bookkeeping.
+
+Long division and the Euclidean sequence each have one kernel on lists of
+integer element codes (:func:`_divmod_vals`, :func:`_eea_vals`), written on
+the primitives of :class:`~cartcodes.field.Field`.  :class:`Poly` and
+:func:`eea_sequence` wrap them in field elements at the API boundary, and
+callers that need only remainder degrees run the kernel directly.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import InconsistencyError, NotCoprimeError
+from .errors import FieldMismatchError, InconsistencyError, NotCoprimeError
 from .field import Field, FieldElement
 
 # degree(0); compares below every integer and survives max()/comparisons,
@@ -52,6 +58,15 @@ class Poly:
     @classmethod
     def x(cls, field: Field) -> "Poly":
         return cls(field, (field.zero, field.one))
+
+    @classmethod
+    def _from_vals(cls, field: Field, vals: Sequence[int]) -> "Poly":
+        """From a normalized list of integer codes (no trailing zero)."""
+        poly = cls.__new__(cls)
+        poly.field = field
+        get = field._get
+        poly.coeffs = tuple([get(v) for v in vals])
+        return poly
 
     @classmethod
     def from_ints(cls, field: Field, ints: Sequence[int]) -> "Poly":
@@ -110,22 +125,23 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
+        field = self._check_field(other)
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(self.field)
-        field = self.field
         if len(a) > len(b):
             a, b = b, a
-        # One row update per coefficient of the shorter factor, so that a
-        # product with a linear factor costs two updates.
-        neg, sub_mul = field.neg, field.sub_mul
-        bv = [c.val for c in b]
-        out = [0] * (len(a) + len(bv) - 1)
-        for i, c in enumerate(a):
-            if c.val:
-                sub_mul(out, neg(c.val), bv, i)
-        get = field._get
-        return Poly(field, [get(v) for v in out])
+        # 0 - (-a) * b: one row update per coefficient of the shorter
+        # factor, so that a product with a linear factor costs two updates.
+        neg = field.neg
+        out = _sub_mul_vals(field, [], [neg(c.val) for c in a], [c.val for c in b])
+        return Poly._from_vals(field, out)
+
+    def _check_field(self, other: "Poly") -> Field:
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise FieldMismatchError(
+                f"cannot combine polynomials over {field} and {other.field}"
+            )
+        return field
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -141,29 +157,13 @@ class Poly:
         """Long division: self = q * other + r with deg r < deg other."""
         if not isinstance(other, Poly):
             return NotImplemented
+        field = self._check_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        db = len(other.coeffs) - 1
-        if len(self.coeffs) - 1 < db:
-            return Poly.zero(field), self
-        rem = [c.val for c in self.coeffs]
-        b = [c.val for c in other.coeffs]
-        low = b[:db]
-        mul, sub_mul = field.mul, field.sub_mul
-        inv_lead = field.inv(b[-1])
-        quot = [0] * (len(rem) - db)
-        while len(rem) > db:
-            factor = mul(rem.pop(), inv_lead)
-            if factor:
-                shift = len(rem) - db
-                quot[shift] = factor
-                sub_mul(rem, factor, low, shift)
-        get = field._get
-        return (
-            Poly(field, [get(v) for v in quot]),
-            Poly(field, [get(v) for v in rem]),
+        quot, rem = _divmod_vals(
+            field, [c.val for c in self.coeffs], [c.val for c in other.coeffs]
         )
+        return Poly._from_vals(field, quot), Poly._from_vals(field, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -216,6 +216,44 @@ class Poly:
 
     def to_json(self):
         return [c.to_json() for c in self.coeffs]
+
+
+def _divmod_vals(field: Field, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Long division on normalized code lists: a = q * b + r, deg r < deg b.
+
+    ``b`` must be nonzero.  Both results come back normalized.
+    """
+    db = len(b) - 1
+    rem = list(a)
+    if len(rem) - 1 < db:
+        return [], rem
+    low = b[:db]
+    mul, sub_mul = field.mul, field.sub_mul
+    inv_lead = field.inv(b[-1])
+    quot = [0] * (len(rem) - db)
+    while len(rem) > db:
+        factor = mul(rem.pop(), inv_lead)
+        if factor:
+            shift = len(rem) - db
+            quot[shift] = factor
+            sub_mul(rem, factor, low, shift)
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _sub_mul_vals(field: Field, y: list[int], q: list[int], x: list[int]) -> list[int]:
+    """y - q * x on normalized code lists, normalized."""
+    out = list(y)
+    if q and x:
+        out.extend([0] * (len(q) + len(x) - 1 - len(out)))
+        sub_mul = field.sub_mul
+        for i, c in enumerate(q):
+            if c:
+                sub_mul(out, c, x, i)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 # -- point-set constructions --------------------------------------------------
@@ -318,6 +356,51 @@ class EeaResult:
         return [int(s.remainder.degree) for s in self.steps[1:]]
 
 
+def _eea_vals(field: Field, L: list[int], H: list[int]):
+    """The extended Euclidean sequence of :func:`eea_sequence` on code lists.
+
+    Returns ``(remainders, quotients, bezout_h, bezout_f, constant)``: one
+    normalized code list per row (the two seed rows have quotient None),
+    with the final row rescaled to 1 and the code of the constant that was
+    divided out.  Raises as :func:`eea_sequence` does.
+    """
+    if not L or not H:
+        raise ValueError("extended Euclidean sequence needs nonzero inputs")
+    if not len(H) < len(L):
+        raise ValueError("expected deg H < deg L")
+    rems, quots, hs, fs = [L, H], [None, None], [[1], []], [[], [1]]
+    while len(rems[-1]) > 1:
+        q, r = _divmod_vals(field, rems[-2], rems[-1])
+        if not r:
+            raise NotCoprimeError(Poly._from_vals(field, rems[-1]).monic())
+        rems.append(r)
+        quots.append(q)
+        hs.append(_sub_mul_vals(field, hs[-2], q, hs[-1]))
+        fs.append(_sub_mul_vals(field, fs[-2], q, fs[-1]))
+
+    # Normalize the final constant row to 1, preserving the Bezout identity.
+    constant = rems[-1][0]
+    if constant != 1:
+        inv = field.inv(constant)
+        rems[-1] = [1]
+        field.scale(hs[-1], inv, 0)
+        field.scale(fs[-1], inv, 0)
+
+    # The degree law deg f_i = deg L - deg g_{i-1} is only stated for
+    # i <= t, but the LCD criterion leans on it at i = t+1 as well; verify
+    # it through the last row instead of trusting it silently.
+    n = len(L) - 1
+    for i in range(1, len(rems)):
+        expected = n - (len(rems[i - 1]) - 1)
+        actual = len(fs[i]) - 1 if fs[i] else None
+        if actual != expected:
+            raise InconsistencyError(
+                f"Bezout degree law failed at row {i}: deg f = {actual}, "
+                f"expected {expected}"
+            )
+    return rems, quots, hs, fs, constant
+
+
 def eea_sequence(L: Poly, H: Poly) -> EeaResult:
     """Extended Euclidean algorithm on coprime (L, H) with deg H < deg L.
 
@@ -326,48 +409,20 @@ def eea_sequence(L: Poly, H: Poly) -> EeaResult:
     :class:`NotCoprimeError` carrying the monic gcd if a zero remainder
     appears before a constant one.
     """
-    if L.is_zero or H.is_zero:
-        raise ValueError("extended Euclidean sequence needs nonzero inputs")
-    if not H.degree < L.degree:
-        raise ValueError("expected deg H < deg L")
     field = L.field
-    n = int(L.degree)
+    H._check_field(L)
+    rems, quots, hs, fs, constant = _eea_vals(
+        field, [c.val for c in L.coeffs], [c.val for c in H.coeffs]
+    )
+    poly = Poly._from_vals
     steps = [
-        EeaStep(0, L, None, Poly.one(field), Poly.zero(field)),
-        EeaStep(1, H, None, Poly.zero(field), Poly.one(field)),
-    ]
-    while steps[-1].remainder.degree > 0:
-        prev, cur = steps[-2], steps[-1]
-        q, r = divmod(prev.remainder, cur.remainder)
-        if r.is_zero:
-            raise NotCoprimeError(cur.remainder.monic())
-        h = prev.bezout_h - q * cur.bezout_h
-        f = prev.bezout_f - q * cur.bezout_f
-        steps.append(EeaStep(len(steps), r, q, h, f))
-
-    # Normalize the final constant row to 1, preserving the Bezout identity.
-    last = steps[-1]
-    constant = last.remainder.coeffs[0]
-    if constant.val != 1:
-        inv = constant.inverse()
-        steps[-1] = EeaStep(
-            last.index,
-            last.remainder.scale(inv),
-            last.quotient,
-            last.bezout_h.scale(inv),
-            last.bezout_f.scale(inv),
+        EeaStep(
+            i,
+            poly(field, rems[i]),
+            None if quots[i] is None else poly(field, quots[i]),
+            poly(field, hs[i]),
+            poly(field, fs[i]),
         )
-
-    # The degree law deg f_i = deg L - deg g_{i-1} is only stated for
-    # i <= t, but the LCD criterion leans on it at i = t+1 as well; verify
-    # it through the last row instead of trusting it silently.
-    for i in range(1, len(steps)):
-        expected = n - int(steps[i - 1].remainder.degree)
-        actual = steps[i].bezout_f.degree
-        actual = int(actual) if actual != NEG_INF else None
-        if actual != expected:
-            raise InconsistencyError(
-                f"Bezout degree law failed at row {i}: deg f = {actual}, "
-                f"expected {expected}"
-            )
-    return EeaResult(tuple(steps), constant)
+        for i in range(len(rems))
+    ]
+    return EeaResult(tuple(steps), field._get(constant))

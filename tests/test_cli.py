@@ -194,8 +194,21 @@ def test_usage_errors_exit_two(capsys):
         ("lcd", "--field", "7", "--set", "0,1,2", "--scalars", "1,1,0", "--k", "2"),
         ("search", "--field", "7", "--sizes", "3", "--k-range", "1:2",
          "--scalar-policy", "bogus"),
+        ("search", "--field", "7", "--sizes", "3", "--k-range", "0:1"),
+        ("search", "--field", "7", "--m", "0", "--sizes", "3", "--k-range", "1:1"),
+        ("search", "--field", "7", "--sizes", "9", "--k-range", "1:1"),
+        ("params", "--field", "7", "--set", "0,1,2", "--k", "2", "--budget", "-1"),
+        ("masking", "--field", "7", "--set", "0,1,2", "--k", "2", "--trials", "-5"),
     ]
-    named = {cases[-2]: "--scalars", cases[-1]: "--scalar-policy"}
+    named = {
+        cases[7]: "--scalars",
+        cases[8]: "--scalar-policy",
+        cases[9]: "--k-range",
+        cases[10]: "--m",
+        cases[11]: "--sizes",
+        cases[12]: "--budget",
+        cases[13]: "--trials",
+    }
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv

@@ -139,6 +139,29 @@ def test_extension_field_without_tables():
     assert (a - b) + b == a
 
 
+def test_tables_match_coefficient_arithmetic():
+    # X is not primitive in GF(3^2) mod X^2 + 1 (order 4) nor in GF(2^8)
+    # mod X^8 + X^4 + X^3 + X + 1 (order 51), so the log tables must not
+    # assume it is.
+    aes = [1, 1, 0, 1, 1, 0, 0, 0, 1]
+    x_orders = {(9, (1, 0, 1)): 4, (256, tuple(aes)): 51}
+    for field in (GF(2, 2), GF(3, 2, modulus=[1, 0, 1]), GF(2, 8),
+                  GF(2, 8, modulus=aes), GF(3, 5)):
+        q = field.order
+        order = x_orders.get((q, field.modulus))
+        if order is not None:
+            x = field.element([0, 1])
+            assert x ** order == field.one
+            assert all(x ** i != field.one for i in range(1, order))
+        for a in range(q):
+            assert field._neg_t[a].val == field._neg_val(a)
+            if a:
+                assert field._inv_t[a].val == field._inv_val(a)
+            for b in range(q):
+                assert field._add_t[a * q + b].val == field._add_val(a, b)
+                assert field._mul_t[a * q + b].val == field._mul_val(a, b)
+
+
 def test_fields_and_elements_pickle():
     import pickle
 

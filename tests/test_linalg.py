@@ -5,6 +5,7 @@ import pytest
 from cartcodes import (
     GF,
     CartesianSpec,
+    FieldMismatchError,
     Matrix,
     SingularMatrixError,
     generator_matrix,
@@ -178,6 +179,15 @@ def test_matmul_against_reference():
                 for t in range(3):
                     acc = acc + a.rows[i][t] * b.rows[t][j]
                 assert prod.rows[i][j] == acc
+
+
+def test_cross_field_matmul_rejected():
+    a = M([[1, 2]])
+    b = M([[3], [9]], GF(11))
+    with pytest.raises(FieldMismatchError):
+        a @ b
+    with pytest.raises(FieldMismatchError):
+        b @ a
 
 
 def test_json_and_str():

@@ -27,13 +27,14 @@ from cartcodes import (
     is_lcd_bruteforce,
     is_lcd_product_sufficient,
     is_lcd_univariate,
+    lagrange_term,
     min_distance_formula,
     monomial_basis,
     reduce_mod_ideal,
     subspace_intersection,
     vanishing_poly,
 )
-from cartcodes.lcd import LCD
+from cartcodes.lcd import LCD, PointSetData
 from cartcodes.multipoly import grlex_key
 
 CASES = 1000
@@ -43,6 +44,8 @@ EXTENSION_FIELDS = [GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4), GF(5, 2), GF(3, 3)]
 AXIOM_FIELDS = SMALL_FIELDS + EXTENSION_FIELDS
 # above the table limit: arithmetic on demand, prime and extension
 UNTABLED_FIELDS = [GF(1009), GF(3, 6)]
+# tabled and untabled, prime and extension
+REFERENCE_FIELDS = [GF(7), GF(3, 2)] + UNTABLED_FIELDS
 
 # every prime power up to 64
 ALL_ORDERS_LE_64 = [
@@ -436,6 +439,35 @@ def test_scaling_covariance_of_verdict():
         flipped = [x if rng.random() < 0.5 else -x for x in v]
         spec = CartesianSpec.univariate(A, flipped, k)
         assert is_lcd_bruteforce(spec).is_lcd == base.is_lcd
+
+
+def test_point_set_data_matches_element_reference():
+    # The code-level factors L / (X - a) and the code-level sum of
+    # v_i^2 * L_{a_i} against the element-level products and sums.
+    rng = random.Random(0x5E7D)
+    for _ in range(CASES):
+        field = rng.choice(REFERENCE_FIELDS)
+        A = random_subset(rng, field, 1, 6)
+        v = random_scalars(rng, field, len(A))
+        data = PointSetData(A)
+        expected = Poly.zero(field)
+        for a, x, term in zip(A, v, data.lagrange_terms):
+            reference = lagrange_term(A, a)
+            assert term == reference
+            expected = expected + reference.scale(x * x)
+        assert data.associated_poly(v) == expected
+
+
+def test_analysis_matches_eea_sequence():
+    rng = random.Random(0xE7A5)
+    for _ in range(CASES):
+        field = rng.choice(REFERENCE_FIELDS)
+        A = random_subset(rng, field, 1, 6)
+        v = random_scalars(rng, field, len(A))
+        analysis = UnivariateLcdAnalysis(A, v)
+        reference = eea_sequence(vanishing_poly(A), associated_poly_univariate(A, v))
+        assert analysis.remainder_degrees == reference.remainder_degrees()
+        assert analysis.eea == reference
 
 
 def test_associated_poly_coprime_to_vanishing():

@@ -3,6 +3,7 @@ import pytest
 from cartcodes import (
     GF,
     NEG_INF,
+    FieldMismatchError,
     NotCoprimeError,
     Poly,
     eea_sequence,
@@ -192,6 +193,16 @@ def test_eea_rejects_bad_inputs():
     with pytest.raises(NotCoprimeError) as err:
         eea_sequence(L, vanishing_poly(els(F7, 0, 1)))
     assert err.value.gcd == vanishing_poly(els(F7, 0, 1))
+
+
+def test_cross_field_poly_rejected():
+    a = Poly.from_ints(GF(7), [1, 5])
+    b = Poly.from_ints(GF(11), [3, 9])
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(FieldMismatchError):
+            x * y
+        with pytest.raises(FieldMismatchError):
+            divmod(x, y)
 
 
 def test_poly_display():
