@@ -19,7 +19,7 @@ from .codes import (
     generator_matrix,
     parameter_report,
 )
-from .errors import InconsistencyError, NotLcdError
+from .errors import BudgetExceededError, InconsistencyError, NotLcdError
 from .field import Field
 from .linalg import Matrix
 from .lcd import (
@@ -254,6 +254,7 @@ def cmd_search(args) -> int:
         )
     ks = parse_range(args.k_range, "--k-range")
     _check_at_least(min(ks), 1, "--k-range")
+    _check_at_least(args.budget, 0, "--budget")
     for record in search_lcd(
         field,
         args.m,
@@ -270,12 +271,15 @@ def cmd_search(args) -> int:
 def cmd_masking(args) -> int:
     _check_at_least(args.trials, 0, "--trials")
     spec = build_spec(args)
-    transcript = masking_transcript(
-        spec,
-        trials=args.trials,
-        seed=args.seed,
-        exhaustive=args.exhaustive,
-    )
+    try:
+        transcript = masking_transcript(
+            spec,
+            trials=args.trials,
+            seed=args.seed,
+            exhaustive=args.exhaustive,
+        )
+    except BudgetExceededError as exc:
+        raise UsageError(f"--exhaustive: {exc}") from exc
     if args.json:
         print(_dump(transcript))
     else:

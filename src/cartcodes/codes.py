@@ -39,7 +39,7 @@ class CartesianSpec:
                 f"got {len(self.scalars)}"
             )
         for v in self.scalars:
-            if v.field != self.field:
+            if v.field is not self.field:
                 raise ValueError("scalars must live in the grid's field")
             if v.val == 0:
                 raise ValueError("scalars must be nonzero")
@@ -194,15 +194,16 @@ def generator_matrix(spec: CartesianSpec) -> LinearCode:
     graded-lex monomial order."""
     cset = spec.cset
     basis = monomial_basis(cset, spec.k)
-    # Per-point power tables: pows[i][a-index][e] = a^e.
+    mul = cset.field.mul
+    # Per-point power tables on codes: pows[i][a-index][e] = a^e.
     max_exp = [min(n - 1, spec.k - 1) for n in cset.sizes]
     pows = []
     for i, comp in enumerate(cset.components):
         table = []
         for a in comp:
-            row = [cset.field.one]
+            row = [1]
             for _ in range(max_exp[i]):
-                row.append(row[-1] * a)
+                row.append(mul(row[-1], a.val))
             table.append(row)
         pows.append(table)
 
@@ -214,14 +215,14 @@ def generator_matrix(spec: CartesianSpec) -> LinearCode:
     for exps in basis:
         row = []
         for v, coords in zip(spec.scalars, point_coords):
-            acc = v
+            acc = v.val
             for i, e in enumerate(exps):
                 if e:
-                    acc = acc * pows[i][coords[i]][e]
+                    acc = mul(acc, pows[i][coords[i]][e])
             row.append(acc)
         rows.append(row)
     return LinearCode(
-        generator=Matrix(cset.field, rows, cset.size),
+        generator=Matrix._from_vals(cset.field, rows, cset.size),
         n=cset.size,
         dimension=len(basis),
     )

@@ -2,28 +2,31 @@
 
 Prime fields are the primary target; extension fields are supported through
 an explicit monic irreducible modulus (or a deterministic search for the
-smallest one).  Elements are canonical and immutable: equal coefficient
+smallest one).  Fields are interned by (p, e, modulus), so equal fields are
+the same object.  Elements are canonical and immutable: equal coefficient
 vectors mean equal elements, and operations on elements of different fields
-raise instead of coercing.
+(including one field under two moduli) raise instead of coercing.
 
-For small orders every element is interned and full addition/multiplication
-tables are precomputed, so arithmetic is a single table lookup with no
-allocation.  This is what keeps the exhaustive cross-validation sweeps fast.
-
-This is the only module that knows how a field does its arithmetic.  The
-elimination and polynomial kernels elsewhere run on raw integer codes
-through the primitives each :class:`Field` carries (see
-:meth:`Field._make_primitives`).
+This is the only module that knows how a field does its arithmetic.  Each
+:class:`Field` carries primitives on raw integer codes (see
+:meth:`Field._make_primitives`): prime fields compute inline mod p, small
+extension fields look codes up in flat integer tables, larger ones work on
+coefficient vectors.  :class:`FieldElement` operations and the elimination
+and polynomial kernels elsewhere all run on those primitives.  For orders
+up to 256 the q elements are interned, so element arithmetic allocates
+nothing.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import mul as _int_mul
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError
 
-# Above this order we fall back to computing each operation on demand.
+# Above this order elements are not interned and extension fields compute
+# on coefficient vectors instead of tables.
 _TABLE_MAX_ORDER = 256
 
 _MAX_CHARACTERISTIC = 1 << 31
@@ -160,42 +163,29 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         f = self.field
-        g = other.field
-        if g is not f and g != f:
-            raise FieldMismatchError(f"cannot combine elements of {f} and {g}")
-        t = f._add_t
-        if t is not None:
-            return t[self.val * f.order + other.val]
-        return FieldElement(f, f._add_val(self.val, other.val))
+        if other.field is not f:
+            raise FieldMismatchError(f"cannot combine elements of {f} and {other.field}")
+        return f._get(f.add(self.val, other.val))
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         f = self.field
-        g = other.field
-        if g is not f and g != f:
-            raise FieldMismatchError(f"cannot combine elements of {f} and {g}")
-        if f._add_t is not None:
-            return f._add_t[self.val * f.order + f._neg_t[other.val].val]
-        return FieldElement(f, f._add_val(self.val, f._neg_val(other.val)))
+        if other.field is not f:
+            raise FieldMismatchError(f"cannot combine elements of {f} and {other.field}")
+        return f._get(f.add(self.val, f.neg(other.val)))
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         f = self.field
-        g = other.field
-        if g is not f and g != f:
-            raise FieldMismatchError(f"cannot combine elements of {f} and {g}")
-        t = f._mul_t
-        if t is not None:
-            return t[self.val * f.order + other.val]
-        return FieldElement(f, f._mul_val(self.val, other.val))
+        if other.field is not f:
+            raise FieldMismatchError(f"cannot combine elements of {f} and {other.field}")
+        return f._get(f.mul(self.val, other.val))
 
     def __neg__(self):
         f = self.field
-        if f._neg_t is not None:
-            return f._neg_t[self.val]
-        return FieldElement(f, f._neg_val(self.val))
+        return f._get(f.neg(self.val))
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
@@ -206,9 +196,7 @@ class FieldElement:
         if self.val == 0:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
-        if f._inv_t is not None:
-            return f._inv_t[self.val]
-        return FieldElement(f, f._inv_val(self.val))
+        return f._get(f.inv(self.val))
 
     def __pow__(self, exponent: int) -> "FieldElement":
         f = self.field
@@ -230,9 +218,7 @@ class FieldElement:
             return True
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.val == other.val and (
-            self.field is other.field or self.field == other.field
-        )
+        return self.val == other.val and self.field is other.field
 
     def __hash__(self):
         return hash((self.val, self.field.order))
@@ -274,6 +260,11 @@ class FieldElement:
         return f"GF({self.field.order})({self})"
 
 
+# Every field built so far, keyed by (p, e, modulus); the key with modulus
+# None names the default modulus of GF(p^e).
+_FIELDS: dict[tuple, "Field"] = {}
+
+
 class Field:
     """The finite field GF(p^e).
 
@@ -281,6 +272,10 @@ class Field:
     little-endian coefficient tuple over GF(p); it must be omitted for prime
     fields and may be omitted for extension fields (then the smallest monic
     irreducible of degree e is used).
+
+    Fields are interned by (p, e, modulus), with the modulus reduced mod p,
+    so constructing one field twice gives the same object and two fields
+    are equal exactly when they are identical.
     """
 
     __slots__ = (
@@ -289,10 +284,8 @@ class Field:
         "order",
         "modulus",
         "_elems",
-        "_add_t",
-        "_mul_t",
-        "_neg_t",
-        "_inv_t",
+        "_get",
+        "add",
         "mul",
         "neg",
         "inv",
@@ -301,48 +294,49 @@ class Field:
         "scale",
     )
 
-    def __init__(
-        self,
-        p: int,
-        e: int = 1,
-        modulus: Sequence[int] | None = None,
-    ):
+    def __new__(cls, p: int, e: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p!r}")
         if p > _MAX_CHARACTERISTIC:
             raise ValueError(f"characteristic {p} above supported range 2^31")
         if not isinstance(e, int) or e < 1:
             raise ValueError(f"extension degree must be a positive integer, got {e!r}")
-        self.p = p
-        self.extension_degree = e
-        self.order = p**e
-        if e == 1:
-            if modulus is not None:
-                raise ValueError("prime fields take no modulus")
-            self.modulus = None
-        else:
-            if modulus is None:
-                self.modulus = _find_modulus(p, e)
-            else:
-                mod = tuple(int(c) % p for c in modulus)
-                if len(mod) != e + 1:
-                    raise ValueError(
-                        f"modulus must have degree {e}, got degree {len(mod) - 1}"
-                    )
-                if mod[-1] != 1:
+        if e == 1 and modulus is not None:
+            raise ValueError("prime fields take no modulus")
+        key = (p, e, None if modulus is None else tuple(int(c) % p for c in modulus))
+        field = _FIELDS.get(key)
+        if field is None:
+            mod = key[2]
+            if e > 1:
+                if mod is None:
+                    mod = _find_modulus(p, e)
+                elif len(mod) != e + 1:
+                    raise ValueError(f"modulus must have degree {e}, got degree {len(mod) - 1}")
+                elif mod[-1] != 1:
                     raise ValueError("modulus must be monic")
-                if not _is_irreducible(list(mod), p):
+                elif not _is_irreducible(list(mod), p):
                     raise ValueError(f"modulus {mod} is reducible over GF({p})")
-                self.modulus = mod
+            field = _FIELDS.get((p, e, mod))
+            if field is None:
+                field = _FIELDS[p, e, mod] = super().__new__(cls)
+                field.p = p
+                field.extension_degree = e
+                field.order = p**e
+                field.modulus = mod
+            _FIELDS[key] = field
+        return field
 
-        self._elems = None
-        self._add_t = None
-        self._mul_t = None
-        self._neg_t = None
-        self._inv_t = None
+    def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
+        # Python calls this after every __new__; an interned field is kept.
+        if hasattr(self, "add"):
+            return
         if self.order <= _TABLE_MAX_ORDER:
-            self._build_tables()
-        (self.mul, self.neg, self.inv, self.dot, self.sub_mul, self.scale) = (
+            self._elems = [FieldElement(self, v) for v in range(self.order)]
+            self._get = self._elems.__getitem__
+        else:
+            self._elems = None
+            self._get = partial(FieldElement, self)
+        (self.add, self.mul, self.neg, self.inv, self.dot, self.sub_mul, self.scale) = (
             self._make_primitives()
         )
 
@@ -363,20 +357,18 @@ class Field:
             val = val * self.p + (c % self.p)
         return val
 
+    # Coefficient-vector arithmetic of extension fields: the reference the
+    # tables are built and tested from, and the primitives of untabled
+    # extension fields.
+
     def _add_val(self, a: int, b: int) -> int:
-        if self.extension_degree == 1:
-            return (a + b) % self.p
         ca, cb = self._coeff_vector(a), self._coeff_vector(b)
         return self._pack((x + y) % self.p for x, y in zip(ca, cb))
 
     def _neg_val(self, a: int) -> int:
-        if self.extension_degree == 1:
-            return (-a) % self.p
         return self._pack((-c) % self.p for c in self._coeff_vector(a))
 
     def _mul_val(self, a: int, b: int) -> int:
-        if self.extension_degree == 1:
-            return (a * b) % self.p
         ca = list(self._coeff_vector(a))
         cb = list(self._coeff_vector(b))
         prod = _poly_mul_mod(ca, cb, list(self.modulus), self.p)
@@ -384,8 +376,6 @@ class Field:
         return self._pack(prod)
 
     def _inv_val(self, a: int) -> int:
-        if self.extension_degree == 1:
-            return pow(a, self.p - 2, self.p)
         # a^(q-2) by square-and-multiply over _mul_val
         result, base, exp = 1, a, self.order - 2
         while exp:
@@ -395,26 +385,17 @@ class Field:
             exp >>= 1
         return result
 
-    def _build_tables(self):
-        """Element tables for addition, multiplication, negation, inverse.
+    def _build_tables(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Flat integer tables of an extension field: addition and
+        multiplication indexed ``a * q + b``, negation and inverse by ``a``.
 
-        Prime fields compute each entry inline.  Extension fields read
-        products off the exponent and logarithm tables of their smallest
-        primitive element, and sums off the base-p digit recurrence
-        ``a + b = (a // p + b // p) * p + (a % p + b % p) % p``, so that
-        building costs O(q^2) table lookups rather than O(q^2) polynomial
-        products.
+        Products come off the exponent and logarithm tables of the smallest
+        primitive element; sums and negatives off the base-p digit
+        recurrences ``a + b = (a // p + b // p) * p + (a % p + b % p) % p``
+        and ``-a = -(a // p) * p + (-a) % p``.  Building costs O(q^2) table
+        lookups rather than O(q^2) polynomial products.
         """
-        q = self.order
-        elems = [FieldElement(self, v) for v in range(q)]
-        self._elems = elems
-        self._neg_t = [elems[self._neg_val(v)] for v in range(q)]
-        if self.extension_degree == 1:
-            self._add_t = [elems[(a + b) % q] for a in range(q) for b in range(q)]
-            self._mul_t = [elems[a * b % q] for a in range(q) for b in range(q)]
-            self._inv_t = [None] + [elems[self._inv_val(v)] for v in range(1, q)]
-            return
-        p = self.p
+        q, p = self.order, self.p
         exp = self._primitive_powers()
         log = [0] * q
         for i, v in enumerate(exp):
@@ -426,15 +407,16 @@ class Field:
             a0 = a % p
             for b in range(q):
                 add_v[row + b] = add_v[high + b // p] * p + (a0 + b % p) % p
-        zero = elems[0]
-        mul_t = [zero] * q
+        mul_v = [0] * q
         for la in log[1:]:
             row = exp[la:]
-            mul_t.append(zero)
-            mul_t += [elems[row[lb]] for lb in log[1:]]
-        self._add_t = [elems[v] for v in add_v]
-        self._mul_t = mul_t
-        self._inv_t = [None] + [elems[exp[q - 1 - la]] for la in log[1:]]
+            mul_v.append(0)
+            mul_v += [row[lb] for lb in log[1:]]
+        neg_v = [0] * q
+        for a in range(1, q):
+            neg_v[a] = neg_v[a // p] * p + (-a) % p
+        inv_v = [0] + [exp[q - 1 - la] for la in log[1:]]
+        return add_v, mul_v, neg_v, inv_v
 
     def _primitive_powers(self) -> list[int]:
         """Codes of g^0, ..., g^(q-2) for the smallest primitive element g,
@@ -451,23 +433,28 @@ class Field:
     def _make_primitives(self):
         """The arithmetic primitives on integer element codes.
 
-        The elimination and polynomial kernels run on raw codes to dodge
-        per-element dispatch, and these callables are the only arithmetic
-        they use, so every field shares one spelling of each kernel:
+        :class:`FieldElement` and the elimination and polynomial kernels all
+        compute through these callables, so every field shares one spelling
+        of each operation:
 
-        - ``mul(a, b)``, ``neg(a)``, and ``inv(a)`` for nonzero ``a``;
+        - ``add(a, b)``, ``mul(a, b)``, ``neg(a)``, and ``inv(a)`` for
+          nonzero ``a``;
         - ``dot(x, y)``: the sum of ``x[j] * y[j]``;
         - ``sub_mul(y, a, x, shift)``: the row update
           ``y[shift + j] -= a * x[j]`` for every ``j``, in place;
         - ``scale(x, a, lo)``: ``x[j] *= a`` for every ``j >= lo``, in place.
 
-        Prime fields compute with inline ``% p``; other fields look codes
-        up in flat integer tables when the field is tabled and fall back to
-        coefficient-vector arithmetic when it is not.  ``sub_mul`` skips
-        zero entries of ``x``, so sparse rows cost less.
+        Prime fields compute with inline ``% p``; extension fields of order
+        up to 256 look codes up in the flat integer tables of
+        :meth:`_build_tables`, and larger ones fall back to coefficient-vector
+        arithmetic.  ``sub_mul`` skips zero entries of ``x``, so sparse rows
+        cost less.
         """
         if self.extension_degree == 1:
             p = self.p
+
+            def add(a, b):
+                return (a + b) % p
 
             def mul(a, b):
                 return a * b % p
@@ -476,7 +463,7 @@ class Field:
                 return -a % p
 
             def inv(a):
-                return pow(a, p - 2, p)
+                return pow(a, -1, p)
 
             def dot(x, y):
                 return sum(map(_int_mul, x, y)) % p
@@ -491,13 +478,13 @@ class Field:
                     if x[j]:
                         x[j] = a * x[j] % p
 
-            return mul, neg, inv, dot, sub_mul, scale
-        if self._mul_t is not None:
+            return add, mul, neg, inv, dot, sub_mul, scale
+        if self.order <= _TABLE_MAX_ORDER:
             q = self.order
-            add_v = [x.val for x in self._add_t]
-            mul_v = [x.val for x in self._mul_t]
-            neg_v = [x.val for x in self._neg_t]
-            inv_v = [0] + [x.val for x in self._inv_t[1:]]
+            add_v, mul_v, neg_v, inv_v = self._build_tables()
+
+            def add(a, b):
+                return add_v[a * q + b]
 
             def mul(a, b):
                 return mul_v[a * q + b]
@@ -519,7 +506,7 @@ class Field:
                 for j in range(lo, len(x)):
                     x[j] = mul_v[row + x[j]]
 
-            return mul, neg_v.__getitem__, inv_v.__getitem__, dot, sub_mul, scale
+            return add, mul, neg_v.__getitem__, inv_v.__getitem__, dot, sub_mul, scale
         add, mul, neg = self._add_val, self._mul_val, self._neg_val
 
         def dot(x, y):
@@ -540,7 +527,7 @@ class Field:
                 if x[j]:
                     x[j] = mul(a, x[j])
 
-        return mul, neg, self._inv_val, dot, sub_mul, scale
+        return add, mul, neg, self._inv_val, dot, sub_mul, scale
 
     # -- element construction ----------------------------------------------
 
@@ -551,7 +538,7 @@ class Field:
         integer must be a canonical code in [0, q).
         """
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self:
                 raise FieldMismatchError(f"{value!r} is not an element of {self}")
             return value
         if isinstance(value, int):
@@ -571,12 +558,9 @@ class Field:
             return self._get(self._pack(list(value) + [0] * (self.extension_degree - len(value))))
         raise TypeError(f"cannot build a field element from {value!r}")
 
-    def _get(self, val: int) -> FieldElement:
-        if self._elems is not None:
-            return self._elems[val]
-        return FieldElement(self, val)
-
-    from_int = _get
+    def from_int(self, val: int) -> FieldElement:
+        """The element of canonical integer code ``val``, unchecked."""
+        return self._get(val)
 
     @property
     def zero(self) -> FieldElement:
@@ -601,22 +585,9 @@ class Field:
 
     # -- identity and display ----------------------------------------------
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Field):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.extension_degree == other.extension_degree
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.extension_degree, self.modulus))
-
     def __reduce__(self):
-        # The primitives are closures, which pickle cannot store; rebuild.
+        # The primitives are closures, which pickle cannot store; unpickling
+        # looks the field up again, so it returns the interned object.
         return Field, (self.p, self.extension_degree, self.modulus)
 
     def __repr__(self):

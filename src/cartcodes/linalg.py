@@ -169,7 +169,7 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         field = self.field
-        if other.field is not field and other.field != field:
+        if other.field is not field:
             raise FieldMismatchError(
                 f"cannot multiply matrices over {field} and {other.field}"
             )
@@ -300,7 +300,7 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (
-            self.field == other.field
+            self.field is other.field
             and self.ncols == other.ncols
             and self.rows == other.rows
         )

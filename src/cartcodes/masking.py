@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .codes import (
+    DEFAULT_BRUTE_BUDGET,
     CartesianSpec,
     LinearCode,
     brute_force_min_distance,
@@ -22,7 +23,7 @@ from .codes import (
     generator_matrix,
     min_distance_formula,
 )
-from .errors import InconsistencyError, NotLcdError
+from .errors import BudgetExceededError, InconsistencyError, NotLcdError
 from .field import FieldElement
 from .lcd import is_lcd_bruteforce
 from .linalg import Matrix
@@ -129,11 +130,16 @@ def masking_transcript(
     """Run seeded (or exhaustive) fault injections and summarize.
 
     Every miss must be a codeword; the transcript records whether that held
-    and the security figure d - 1 implied by the minimum distance.
+    and the security figure d - 1 implied by the minimum distance.  The
+    exhaustive run enumerates q^n faults and raises
+    :class:`BudgetExceededError` up front when that exceeds
+    ``DEFAULT_BRUTE_BUDGET``.
     """
-    ctx = build_context(spec)
     field = spec.field
     n = spec.n
+    if exhaustive and field.order**n > DEFAULT_BRUTE_BUDGET:
+        raise BudgetExceededError(field.order**n, DEFAULT_BRUTE_BUDGET)
+    ctx = build_context(spec)
     d, _ = min_distance_formula(spec)
     if brute_budget:
         d_check = brute_force_min_distance(ctx.code, brute_budget)

@@ -13,7 +13,7 @@ import itertools
 from typing import Mapping, Sequence
 
 from .field import Field, FieldElement
-from .unipoly import NEG_INF, Poly, formal_derivative, lagrange_term, vanishing_poly
+from .unipoly import NEG_INF, Poly, formal_derivative, vanishing_poly
 
 
 def grlex_key(exponents: tuple[int, ...]):
@@ -196,7 +196,7 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         return (
-            self.field == other.field
+            self.field is other.field
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
@@ -261,7 +261,7 @@ class CartesianSet:
         for comp in comps:
             if not comp:
                 raise ValueError("components must be non-empty")
-            if any(a.field != field for a in comp):
+            if any(a.field is not field for a in comp):
                 raise ValueError("all components must live in one field")
             if len({a.val for a in comp}) != len(comp):
                 raise ValueError(f"component {[str(a) for a in comp]} has repeats")
@@ -286,7 +286,7 @@ class CartesianSet:
     def point_index(self, point: Sequence[FieldElement]) -> int:
         key = tuple(a.val for a in point)
         idx = self._index.get(key)
-        if idx is None:
+        if idx is None or any(a.field is not self.field for a in point):
             raise ValueError(f"{[str(a) for a in point]} is not a grid point")
         return idx
 
@@ -316,7 +316,7 @@ class CartesianSet:
     def __eq__(self, other):
         if not isinstance(other, CartesianSet):
             return NotImplemented
-        return self.field == other.field and self.components == other.components
+        return self.field is other.field and self.components == other.components
 
     def __hash__(self):
         return hash((self.field, self.components))
@@ -377,9 +377,11 @@ def lagrange_point(aset: CartesianSet, point: Sequence[FieldElement]) -> MPoly:
     of the component derivative values.
     """
     aset.point_index(point)
-    result = MPoly.constant(aset.field, aset.nvars, aset.field.one)
-    for i, (comp, a) in enumerate(zip(aset.components, point)):
-        result = result * MPoly.lift(lagrange_term(list(comp), a), aset.nvars, i)
+    field = aset.field
+    result = MPoly.constant(field, aset.nvars, field.one)
+    for i, (li, a) in enumerate(zip(aset.vanishing_generators(), point)):
+        factor = li // Poly(field, (-a, field.one))  # exact: L_i / (X - a)
+        result = result * MPoly.lift(factor, aset.nvars, i)
     return result
 
 

@@ -137,7 +137,7 @@ class Poly:
 
     def _check_field(self, other: "Poly") -> Field:
         field = self.field
-        if other.field is not field and other.field != field:
+        if other.field is not field:
             raise FieldMismatchError(
                 f"cannot combine polynomials over {field} and {other.field}"
             )
@@ -188,7 +188,7 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field is other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
@@ -305,11 +305,13 @@ def interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Poly:
     if len({x.val for x in xs}) != len(xs):
         raise ValueError("interpolation points must have distinct x-coordinates")
     field = xs[0].field
+    L = vanishing_poly(xs)
     result = Poly.zero(field)
     for x, y in points:
         if y.val == 0:
             continue
-        term = lagrange_term(xs, x)
+        # the Lagrange factor as the exact quotient L / (X - x): O(n) each
+        term = L // Poly(field, (-x, field.one))
         result = result + term.scale(y * term(x).inverse())
     return result
 

@@ -102,6 +102,7 @@ def test_criterion_2_eea_examples():
     _report(2, f"remainder-degree sets exact over GF(13) and GF(17) in {elapsed * 1000:.0f} ms")
 
 
+@pytest.mark.slow
 def test_criterion_3_oracle_equivalence(sweep_outcome):
     """Every subset A of GF(q), q in {5,7,11,13}, 2 <= |A| <= 5, every
     k < |A|, scalar transversal (exhaustive for q <= 7, 200 seeded vectors
@@ -118,6 +119,7 @@ def test_criterion_3_oracle_equivalence(sweep_outcome):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_dual_correctness(sweep_outcome):
     """Constructed duals are exactly orthogonal with complementary
     dimension: on the full sweep via the scalar identity plus the
@@ -157,6 +159,7 @@ def test_criterion_4_dual_correctness(sweep_outcome):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_parameters_vs_bruteforce(sweep_outcome):
     """Closed-form dimension equals generator rank and closed-form distance
     equals brute-force minimum weight on the sweep's (set, degree) pairs
@@ -171,6 +174,7 @@ def test_criterion_5_parameters_vs_bruteforce(sweep_outcome):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_product_theorems():
     """Over every ordered pair of GF(7) subsets of sizes 2-3 with exhaustive
     per-component scalar transversals: the component-sufficiency rule never

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -199,6 +200,9 @@ def test_usage_errors_exit_two(capsys):
         ("search", "--field", "7", "--sizes", "9", "--k-range", "1:1"),
         ("params", "--field", "7", "--set", "0,1,2", "--k", "2", "--budget", "-1"),
         ("masking", "--field", "7", "--set", "0,1,2", "--k", "2", "--trials", "-5"),
+        ("search", "--field", "7", "--sizes", "3", "--k-range", "1:2", "--budget", "-1"),
+        ("masking", "--field", "13", "--set", "0,1,2,3,4,5,6,7", "--k", "2",
+         "--exhaustive"),
     ]
     named = {
         cases[7]: "--scalars",
@@ -208,10 +212,15 @@ def test_usage_errors_exit_two(capsys):
         cases[11]: "--sizes",
         cases[12]: "--budget",
         cases[13]: "--trials",
+        cases[14]: "--budget",
+        cases[15]: "--exhaustive",
     }
     for argv in cases:
-        code, _, err = run(capsys, *argv)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
         assert code == 2, argv
+        assert not out, argv
         assert err.strip(), argv
         if argv in named:
             assert err.startswith(f"error: {named[argv]}:"), argv

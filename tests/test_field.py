@@ -61,10 +61,34 @@ def test_cross_field_rejected():
 
 def test_field_equality_and_interning():
     assert GF(7) == Field(7)
+    assert GF(7) is Field(7)
     assert GF(7) != GF(11)
     assert GF(2, 2) == GF(2, 2, modulus=[1, 1, 1])
+    assert GF(2, 2) is GF(2, 2, modulus=[1, 1, 1])
+    assert GF(2, 2, modulus=[3, 1, 1]) is GF(2, 2)  # coefficients reduced mod p
+    assert GF(3, 2, modulus=[2, 1, 1]) is not GF(3, 2)
     # equal fields from separate constructions interoperate
     assert GF(7).element(3) + Field(7).element(5) == GF(7).element(1)
+    assert GF(7).element(3) is Field(7).element(3)
+    import copy
+    import pickle
+
+    for field in (GF(7), GF(2, 2), GF(1009), GF(3, 6), GF(3, 2, modulus=[2, 1, 1])):
+        assert pickle.loads(pickle.dumps(field)) is field
+        assert copy.deepcopy(field) is field
+        assert pickle.loads(pickle.dumps(field.element(2))).field is field
+
+
+def test_same_order_different_moduli_do_not_mix():
+    default, other = GF(3, 2), GF(3, 2, modulus=[2, 1, 1])
+    assert default.modulus != other.modulus
+    a, b = default.element([0, 1]), other.element([0, 1])
+    assert a != b
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b / a):
+        with pytest.raises(FieldMismatchError):
+            op()
+    with pytest.raises(FieldMismatchError):
+        default.element(b)
 
 
 def test_prime_validation():
@@ -154,12 +178,12 @@ def test_tables_match_coefficient_arithmetic():
             assert x ** order == field.one
             assert all(x ** i != field.one for i in range(1, order))
         for a in range(q):
-            assert field._neg_t[a].val == field._neg_val(a)
+            assert field._add_val(a, field.neg(a)) == 0
             if a:
-                assert field._inv_t[a].val == field._inv_val(a)
+                assert field._mul_val(a, field.inv(a)) == 1
             for b in range(q):
-                assert field._add_t[a * q + b].val == field._add_val(a, b)
-                assert field._mul_t[a * q + b].val == field._mul_val(a, b)
+                assert field.add(a, b) == field._add_val(a, b)
+                assert field.mul(a, b) == field._mul_val(a, b)
 
 
 def test_fields_and_elements_pickle():

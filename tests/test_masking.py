@@ -5,6 +5,7 @@ import pytest
 
 from cartcodes import (
     GF,
+    BudgetExceededError,
     CartesianSpec,
     NotLcdError,
     build_context,
@@ -147,3 +148,14 @@ def test_transcript_exhaustive():
     assert transcript["detected"] == 343 - 49
     assert transcript["all_missed_in_C"] is True
     assert transcript["low_weight_missed"] == 0
+
+
+def test_transcript_exhaustive_has_a_budget():
+    # 13^8 faults, refused before the LCD check: this code is not LCD.
+    F13 = GF(13)
+    spec = CartesianSpec.from_ints(F13, [list(range(8))], [1] * 8, 6)
+    with pytest.raises(BudgetExceededError) as err:
+        masking_transcript(spec, exhaustive=True)
+    assert err.value.required == 13**8
+    with pytest.raises(NotLcdError):
+        masking_transcript(spec, trials=1)

@@ -136,6 +136,8 @@ def test_lagrange_point_grid():
             assert lp.evaluate(b).val == 0
     with pytest.raises(ValueError):
         lagrange_point(cs, (F7.element(5), F7.zero))
+    with pytest.raises(ValueError):  # same codes, another field
+        lagrange_point(cs, (GF(11).zero, GF(11).zero))
 
 
 def test_interpolate_multivariate():
