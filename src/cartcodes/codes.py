@@ -207,10 +207,8 @@ def generator_matrix(spec: CartesianSpec) -> LinearCode:
             table.append(row)
         pows.append(table)
 
-    point_coords = [
-        tuple(cset.components[i].index(point[i]) for i in range(cset.nvars))
-        for point in cset.points
-    ]
+    # the index form of cset.points, in the same row-major order
+    point_coords = list(itertools.product(*(range(s) for s in cset.sizes)))
     rows = []
     for exps in basis:
         row = []
@@ -267,21 +265,20 @@ def brute_force_min_distance(
         raise BudgetExceededError(required, budget)
     if code.dimension == 0:
         raise ValueError("the zero code has no nonzero codewords")
-    rows = code.generator.rows
-    nonzero = [e for e in field.elements() if e.val != 0]
+    rows = code.generator._val_rows()
+    neg, sub_mul = field.neg, field.sub_mul
+    # multipliers 1, ..., q-1, 0 (code order), carried negated for sub_mul
+    negated = [neg(m) for m in range(1, q)] + [0]
     best = code.n
     for lead in range(code.dimension):
         free = code.dimension - lead - 1
         base = rows[lead]
-        for tail in itertools.product(nonzero + [field.zero], repeat=free):
-            word = list(base)
-            for m, row in zip(tail, rows[lead + 1 :]):
-                if m.val == 0:
-                    continue
-                for j, a in enumerate(row):
-                    if a.val != 0:
-                        word[j] = word[j] + m * a
-            weight = sum(1 for x in word if x.val)
+        for tail in itertools.product(negated, repeat=free):
+            word = base[:]
+            for a, row in zip(tail, rows[lead + 1 :]):
+                if a:
+                    sub_mul(word, a, row, 0)
+            weight = code.n - word.count(0)
             if weight < best:
                 best = weight
                 if best == 1:

@@ -38,10 +38,10 @@ from .errors import InconsistencyError
 from .field import Field, FieldElement
 from .linalg import (
     Matrix,
+    _echelon_vals,
     _gram_vals,
     _intersection_vals,
     _nullspace_vals,
-    _rref_vals,
 )
 from .multipoly import CartesianSet, MPoly, lagrange_point
 from .unipoly import (
@@ -276,7 +276,8 @@ def is_lcd_bruteforce(spec: CartesianSpec, code: LinearCode | None = None) -> Lc
     field = G.field
     g_vals = G._val_rows()
     gram_lcd = (
-        len(_rref_vals(field, _gram_vals(field, g_vals), G.nrows)) == code.dimension
+        len(_echelon_vals(field, _gram_vals(field, g_vals), G.nrows))
+        == code.dimension
     )
     parity = _nullspace_vals(field, [row[:] for row in g_vals], G.ncols)
     inter = _intersection_vals(field, g_vals, parity, G.ncols)

@@ -9,6 +9,14 @@ every field carries (the row update ``sub_mul``, ``scale``, ``dot``,
 ``mul``, ``neg`` and ``inv``; see ``Field._make_primitives``), and
 matrices convert at the boundary.  Each kernel has one body for every
 field: how a field computes is known to ``field.py`` alone.
+
+Elimination comes in two depths.  ``_echelon_vals`` eliminates forward
+only (monic pivots, cleared below) and is all a rank needs: ``rank``,
+``is_nonsingular``, ``row_space_contains`` and the Gram route of the LCD
+oracle use it.  ``_rref_vals`` adds one back-substitution pass for the
+reduced form that ``rref``, ``nullspace`` and ``inverse`` return.  The
+Zassenhaus intersection eliminates forward and reduces only the rows that
+carry its basis.
 """
 
 from __future__ import annotations
@@ -19,8 +27,12 @@ from .errors import FieldMismatchError, SingularMatrixError
 from .field import Field, FieldElement
 
 
-def _rref_vals(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
-    """In-place reduced row echelon form on code rows; returns pivot cols."""
+def _echelon_vals(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
+    """In-place row echelon form on code rows; returns pivot cols.
+
+    Pivots are monic and cleared below only; rows past the last pivot end
+    zero.  Enough for a rank, and the forward sweep of :func:`_rref_vals`.
+    """
     inv, sub_mul, scale = field.inv, field.sub_mul, field.scale
     pivots = []
     r = 0
@@ -36,15 +48,34 @@ def _rref_vals(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
         if row[c] != 1:
             scale(row, inv(row[c]), c)
         tail = row[c + 1 :]
-        for other in rows:
+        for other in rows[r + 1 :]:
             factor = other[c]
-            if factor and other is not row:
+            if factor:
                 other[c] = 0
                 sub_mul(other, factor, tail, c + 1)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+def _rref_vals(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
+    """In-place reduced row echelon form on code rows; returns pivot cols.
+
+    The echelon form, then one back-substitution pass from the last pivot
+    up, so each pivot row is already clear of the later pivot columns.
+    """
+    pivots = _echelon_vals(field, rows, ncols)
+    sub_mul = field.sub_mul
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        tail = rows[r][c + 1 :]
+        for other in rows[:r]:
+            factor = other[c]
+            if factor:
+                other[c] = 0
+                sub_mul(other, factor, tail, c + 1)
     return pivots
 
 
@@ -79,19 +110,20 @@ def _intersection_vals(
     w_rows: list[list[int]],
     ncols: int,
 ) -> list[list[int]]:
-    """Zassenhaus intersection basis on integer codes."""
+    """Zassenhaus intersection basis on integer codes, in reduced form.
+
+    Forward elimination of [W | 0; U | U]: the rows whose pivot lies in the
+    right half carry a basis of the intersection there, and only those
+    halves are reduced.  The W rows come first, so their pivots touch the
+    left half alone.
+    """
     if not u_rows or not w_rows:
         return []
-    rows = [row + row for row in u_rows]
-    rows += [row + [0] * ncols for row in w_rows]
-    _rref_vals(field, rows, 2 * ncols)
-    basis = []
-    for row in rows:
-        if any(row[:ncols]):
-            continue
-        right = row[ncols:]
-        if any(right):
-            basis.append(right)
+    rows = [row + [0] * ncols for row in w_rows]
+    rows += [row + row for row in u_rows]
+    pivots = _echelon_vals(field, rows, 2 * ncols)
+    basis = [rows[r][ncols:] for r, c in enumerate(pivots) if c >= ncols]
+    _rref_vals(field, basis, ncols)
     return basis
 
 
@@ -209,7 +241,7 @@ class Matrix:
         )
 
     def rank(self) -> int:
-        return len(_rref_vals(self.field, self._val_rows(), self.ncols))
+        return len(_echelon_vals(self.field, self._val_rows(), self.ncols))
 
     def nullspace(self) -> "Matrix":
         """Basis rows of {x : self @ x^T = 0}; row count = ncols - rank."""
@@ -282,9 +314,9 @@ class Matrix:
             return True
         field = self.field
         vals = self._val_rows()
-        base_rank = len(_rref_vals(field, [list(r) for r in vals], self.ncols))
+        base_rank = len(_echelon_vals(field, [list(r) for r in vals], self.ncols))
         vals.append([x.val for x in vector])
-        return len(_rref_vals(field, vals, self.ncols)) == base_rank
+        return len(_echelon_vals(field, vals, self.ncols)) == base_rank
 
     def same_row_space(self, other: "Matrix") -> bool:
         if other.ncols != self.ncols:
@@ -327,8 +359,9 @@ class Matrix:
 def subspace_intersection(U: Matrix, W: Matrix) -> Matrix:
     """Basis rows of row-space(U) ∩ row-space(W).
 
-    Zassenhaus: reduce the stacked block matrix [U | U; W | 0]; rows whose
-    left half vanished carry an intersection basis in their right half.
+    Zassenhaus: eliminate the stacked block matrix [W | 0; U | U]; rows
+    whose left half vanished carry an intersection basis in their right
+    half, returned in reduced row echelon form (unique for the subspace).
     """
     if U.ncols != W.ncols:
         raise ValueError("subspaces live in different ambient dimensions")

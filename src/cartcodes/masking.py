@@ -148,14 +148,15 @@ def masking_transcript(
                 f"distance formula {d} disagrees with enumeration {d_check}"
             )
     rng = random.Random(seed)
-    elements = field.elements()
+    get, q = field._get, field.order
 
     def random_vector():
-        return tuple(rng.choice(elements) for _ in range(n))
+        # the stream rng.choice(field.elements()) would draw, without the list
+        return tuple(get(rng.randrange(q)) for _ in range(n))
 
     if exhaustive:
         z = random_vector()
-        faults = itertools.product(elements, repeat=n)
+        faults = itertools.product(field.elements(), repeat=n)
     else:
         z = None
         faults = (random_vector() for _ in range(trials))

@@ -300,10 +300,18 @@ class CartesianSet:
     def derivative_values(self) -> list[list[FieldElement]]:
         """L_i'(a) for every component i and element a of A_i."""
         if self._derivatives is None:
+            field = self.field
+            add, mul, get = field.add, field.mul, field._get
             out = []
             for li, comp in zip(self.vanishing_generators(), self.components):
-                dli = formal_derivative(li)
-                out.append([dli(a) for a in comp])
+                coeffs = [c.val for c in reversed(formal_derivative(li).coeffs)]
+                row = []
+                for a in comp:
+                    acc, x = 0, a.val
+                    for c in coeffs:
+                        acc = add(mul(acc, x), c)
+                    row.append(get(acc))
+                out.append(row)
             self._derivatives = out
         return [list(row) for row in self._derivatives]
 

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -139,6 +141,43 @@ def test_transcript_seeded_runs():
     assert transcript["security_degree"] == 1
     again = masking_transcript(LCD_SPEC, trials=60, seed=5)
     assert again == transcript
+
+
+def test_transcript_gf7_unchanged():
+    # (spec, trials, seed, detected, missed): a seed fixes its transcript
+    grid = [[0, 1], [2, 5]]
+    cases = [
+        (LCD_SPEC, 100, 0, 82, 18),
+        (LCD_SPEC, 100, 1, 92, 8),
+        (LCD_SPEC, 100, 2, 90, 10),
+        (LCD_SPEC, 100, 3, 89, 11),
+        (CartesianSpec.from_ints(F7, [[0, 1, 3, 5]], [1, 2, 3, 4], 2), 200, 7, 196, 4),
+        (CartesianSpec.from_ints(F7, [[0, 1, 3, 5]], [1, 2, 3, 4], 2), 200, 8, 198, 2),
+        (CartesianSpec.from_ints(F7, grid, [1, 1, 1, 1], 2), 200, 7, 179, 21),
+        (CartesianSpec.from_ints(F7, grid, [1, 1, 1, 1], 2), 200, 8, 172, 28),
+        (CartesianSpec.from_ints(F7, grid, [1, 2, 3, 4], 2), 200, 7, 174, 26),
+        (CartesianSpec.from_ints(F7, grid, [1, 2, 3, 4], 2), 200, 8, 173, 27),
+    ]
+    for spec, trials, seed, detected, missed in cases:
+        transcript = masking_transcript(spec, trials=trials, seed=seed)
+        assert (transcript["detected"], transcript["missed"]) == (detected, missed)
+        assert transcript["all_missed_in_C"] is True
+
+
+def test_transcript_seeded_large_field_stays_small():
+    # seeded trials draw elements one at a time, never the field's q elements
+    field = GF(1000003)
+    spec = CartesianSpec.from_ints(field, [[0, 1, 2]], [1, 1, 1], 2)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        transcript = masking_transcript(spec, trials=5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert transcript["faults_injected"] == 5
+    assert peak < 2 * 2**20
+    assert time.perf_counter() - start < 2.0
 
 
 def test_transcript_exhaustive():

@@ -35,6 +35,7 @@ from cartcodes import (
     vanishing_poly,
 )
 from cartcodes.lcd import LCD, PointSetData
+from cartcodes.linalg import _echelon_vals, _rref_vals
 from cartcodes.multipoly import grlex_key
 
 CASES = 1000
@@ -44,6 +45,8 @@ EXTENSION_FIELDS = [GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4), GF(5, 2), GF(3, 3)]
 AXIOM_FIELDS = SMALL_FIELDS + EXTENSION_FIELDS
 # above the table limit: arithmetic on demand, prime and extension
 UNTABLED_FIELDS = [GF(1009), GF(3, 6)]
+# small primes, tabled and untabled extensions, and GF(1009)
+LINALG_FIELDS = SMALL_FIELDS + EXTENSION_FIELDS + UNTABLED_FIELDS
 # tabled and untabled, prime and extension
 REFERENCE_FIELDS = [GF(7), GF(3, 2)] + UNTABLED_FIELDS
 
@@ -294,10 +297,104 @@ def test_rank_invariances():
         assert Matrix(field, rows, m.ncols).rank() == rank
 
 
+def gauss_jordan_reference(rows, ncols):
+    """Textbook Gauss-Jordan on field elements: every pivot cleared in every
+    other row as it is found.  Returns (reduced rows, pivot columns)."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        found = [i for i in range(r, len(rows)) if rows[i][c].val]
+        if not found:
+            continue
+        rows[r], rows[found[0]] = rows[found[0]], rows[r]
+        lead = rows[r][c].inverse()
+        rows[r] = [lead * x for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c].val:
+                factor = row[c]
+                rows[i] = [x - factor * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def zassenhaus_reference(u, w):
+    """Intersection basis read off Gauss-Jordan of [U | U; W | 0]."""
+    n = u.ncols
+    zero = [u.field.zero] * n
+    stacked = [list(row) * 2 for row in u.rows] + [list(row) + zero for row in w.rows]
+    reduced, _ = gauss_jordan_reference(stacked, 2 * n)
+    return [
+        tuple(row[n:])
+        for row in reduced
+        if not any(x.val for x in row[:n]) and any(x.val for x in row[n:])
+    ]
+
+
+def random_deficient_matrix(rng, field, r, c):
+    """Dense, sparse, or with a row that combines two others."""
+    m = random_matrix(rng, field, r, c)
+    rows = [list(row) for row in m.rows]
+    kind = rng.randrange(3)
+    if kind == 1:
+        rows = [[x if rng.random() < 0.3 else field.zero for x in row] for row in rows]
+    elif kind == 2 and r >= 3:
+        a, b = field._get(rng.randrange(field.order)), field._get(rng.randrange(field.order))
+        rows[rng.randrange(r)] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return Matrix(field, rows, c)
+
+
+def test_echelon_pivots_match_gauss_jordan():
+    rng = random.Random(0xEC4E)
+    for _ in range(CASES):
+        field = rng.choice(LINALG_FIELDS)
+        ncols = rng.randrange(1, 8)
+        m = random_deficient_matrix(rng, field, rng.randrange(0, 7), ncols)
+        ref_rows, ref_pivots = gauss_jordan_reference(m.rows, ncols)
+        ref_vals = [[x.val for x in row] for row in ref_rows]
+        vals = m._val_rows()
+        pivots = _echelon_vals(field, vals, ncols)
+        assert pivots == ref_pivots
+        # echelon shape: monic pivots, zeros left of and below each pivot
+        for r, c in enumerate(pivots):
+            assert vals[r][c] == 1 and not any(vals[r][:c])
+            assert all(row[c] == 0 for row in vals[r + 1 :])
+        assert not any(any(row) for row in vals[len(pivots) :])
+        # same row space: reducing the echelon form gives the reference
+        assert _rref_vals(field, vals, ncols) == ref_pivots and vals == ref_vals
+        fresh = m._val_rows()
+        assert _rref_vals(field, fresh, ncols) == ref_pivots and fresh == ref_vals
+
+
+def test_intersection_matches_gauss_jordan_zassenhaus():
+    rng = random.Random(0x2A55)
+    non_lcd = 0
+    for case in range(CASES):
+        field = rng.choice(LINALG_FIELDS)
+        if case % 2:
+            c = rng.randrange(1, 7)
+            u = random_deficient_matrix(rng, field, rng.randrange(0, 5), c)
+            w = random_deficient_matrix(rng, field, rng.randrange(0, 5), c)
+        else:
+            # a generator and its dual, as the brute-force LCD oracle pairs them
+            points = random_subset(rng, field, 2, 10)
+            n = len(points)
+            spec = CartesianSpec.univariate(
+                points, random_scalars(rng, field, n), rng.randrange(1, n)
+            )
+            u = generator_matrix(spec).generator
+            w = u.nullspace()
+        inter = subspace_intersection(u, w)
+        assert inter.rows == tuple(zassenhaus_reference(u, w))
+        non_lcd += case % 2 == 0 and inter.nrows > 0
+    assert non_lcd >= 50
+
+
 def test_intersection_dimension_formula():
     rng = random.Random(0xD13)
     for _ in range(CASES):
-        field = rng.choice(SMALL_FIELDS)
+        field = rng.choice(LINALG_FIELDS)
         c = rng.randrange(2, 6)
         u = random_matrix(rng, field, rng.randrange(1, 4), c)
         w = random_matrix(rng, field, rng.randrange(1, 4), c)
