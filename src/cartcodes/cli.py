@@ -152,8 +152,8 @@ def cmd_params(args) -> int:
     if args.budget is not None:
         _check_at_least(args.budget, 0, "--budget")
     spec = build_spec(args)
-    report = parameter_report(spec, brute_budget=args.budget)
     code = generator_matrix(spec)
+    report = parameter_report(spec, brute_budget=args.budget, code=code)
     rank = code.generator.rank()
     if rank != report["dim"]:
         raise InconsistencyError(
@@ -184,7 +184,7 @@ def cmd_dual(args) -> int:
     G = generator_matrix(spec).generator
     Gd = generator_matrix(dual).generator
     product = G @ Gd.transpose()
-    if any(x.val for row in product.rows for x in row):
+    if any(any(row) for row in product.vals):
         raise InconsistencyError("dual generator is not orthogonal to the code")
     if dimension_formula(spec) + dimension_formula(dual) != spec.n:
         raise InconsistencyError("dimensions of code and dual do not sum to n")

@@ -123,16 +123,8 @@ class LinearCode:
 
     def codewords(self) -> Iterator[tuple[FieldElement, ...]]:
         """All q^dimension codewords (exponential; callers bound the size)."""
-        rows = self.generator.rows
         for message in itertools.product(self.field.elements(), repeat=self.dimension):
-            word = [self.field.zero] * self.n
-            for m, row in zip(message, rows):
-                if m.val == 0:
-                    continue
-                for j, a in enumerate(row):
-                    if a.val != 0:
-                        word[j] = word[j] + m * a
-            yield tuple(word)
+            yield self.generator.row_vector_mul(message)
 
 
 # -- closed-form parameters ------------------------------------------------------
@@ -265,7 +257,7 @@ def brute_force_min_distance(
         raise BudgetExceededError(required, budget)
     if code.dimension == 0:
         raise ValueError("the zero code has no nonzero codewords")
-    rows = code.generator._val_rows()
+    rows = code.generator.vals
     neg, sub_mul = field.neg, field.sub_mul
     # multipliers 1, ..., q-1, 0 (code order), carried negated for sub_mul
     negated = [neg(m) for m in range(1, q)] + [0]
@@ -274,7 +266,7 @@ def brute_force_min_distance(
         free = code.dimension - lead - 1
         base = rows[lead]
         for tail in itertools.product(negated, repeat=free):
-            word = base[:]
+            word = list(base)
             for a, row in zip(tail, rows[lead + 1 :]):
                 if a:
                     sub_mul(word, a, row, 0)

@@ -49,8 +49,9 @@ def is_prime(n: int) -> bool:
 
 # --- GF(p)[X] helpers on little-endian int coefficient lists -------------
 #
-# These exist only to validate / search for the extension modulus; all
-# user-facing polynomial arithmetic lives in unipoly.py on field elements.
+# These exist to validate / search for the extension modulus (``_trim`` also
+# normalizes the code lists of unipoly.py, where all user-facing
+# polynomial arithmetic lives).
 
 
 def _trim(c: list[int]) -> list[int]:
@@ -561,6 +562,16 @@ class Field:
     def from_int(self, val: int) -> FieldElement:
         """The element of canonical integer code ``val``, unchecked."""
         return self._get(val)
+
+    def _codes_of(self, elements: Iterable[FieldElement]) -> list[int]:
+        """The integer codes of ``elements``, which must all lie in this
+        field: the entry check of the code-backed matrices and polynomials."""
+        elements = tuple(elements)
+        codes = [x.val for x in elements if x.field is self]
+        if len(codes) != len(elements):
+            bad = next(x for x in elements if x.field is not self)
+            raise FieldMismatchError(f"{bad!r} is not an element of {self}")
+        return codes
 
     @property
     def zero(self) -> FieldElement:

@@ -35,7 +35,7 @@ from .codes import (
     min_distance_formula,
 )
 from .errors import InconsistencyError
-from .field import Field, FieldElement
+from .field import Field, FieldElement, _trim
 from .linalg import (
     Matrix,
     _echelon_vals,
@@ -124,43 +124,34 @@ class PointSetData:
     the vanishing polynomial L and the single-point Lagrange factors.
 
     Each factor is the exact quotient L / (X - a), so a set of n points
-    costs O(n^2).  ``L_vals`` and ``lagrange_vals`` hold L and the factors
-    as code lists.
+    costs O(n^2).  Both are code-backed :class:`Poly` objects, which the
+    integer-code kernels read through their ``vals``.
     """
 
-    __slots__ = ("points", "field", "L", "L_vals", "lagrange_vals")
+    __slots__ = ("points", "field", "L", "lagrange_terms")
 
     def __init__(self, points: Sequence[FieldElement]):
         self.points = tuple(points)
-        self.L = vanishing_poly(self.points)
-        self.field = field = self.L.field
-        self.L_vals = L_vals = [c.val for c in self.L.coeffs]
+        self.L = L = vanishing_poly(self.points)
+        self.field = field = L.field
         neg = field.neg
-        self.lagrange_vals = tuple(
-            _divmod_vals(field, L_vals, [neg(a.val), 1])[0] for a in self.points
+        self.lagrange_terms = tuple(
+            Poly._from_vals(field, _divmod_vals(field, L.vals, (neg(a.val), 1))[0])
+            for a in self.points
         )
 
-    @property
-    def lagrange_terms(self) -> tuple[Poly, ...]:
-        """The factors as polynomials, built on each access."""
-        return tuple(Poly._from_vals(self.field, term) for term in self.lagrange_vals)
-
-    def _associated_vals(self, scalars: Sequence[FieldElement]) -> list[int]:
+    def associated_poly(self, scalars: Sequence[FieldElement]) -> Poly:
         if len(scalars) != len(self.points):
             raise ValueError("need one scalar per point")
-        if any(v.val == 0 for v in scalars):
-            raise ValueError("scalars must be nonzero")
         field = self.field
+        codes = field._codes_of(scalars)
+        if not all(codes):
+            raise ValueError("scalars must be nonzero")
         mul, neg, sub_mul = field.mul, field.neg, field.sub_mul
         acc = [0] * len(self.points)
-        for term, v in zip(self.lagrange_vals, scalars):
-            sub_mul(acc, neg(mul(v.val, v.val)), term, 0)
-        while acc and not acc[-1]:
-            acc.pop()
-        return acc
-
-    def associated_poly(self, scalars: Sequence[FieldElement]) -> Poly:
-        return Poly._from_vals(self.field, self._associated_vals(scalars))
+        for term, v in zip(self.lagrange_terms, codes):
+            sub_mul(acc, neg(mul(v, v)), term.vals, 0)
+        return Poly._from_vals(field, _trim(acc))
 
 
 def associated_poly_univariate(
@@ -195,10 +186,8 @@ class UnivariateLcdAnalysis:
         self.scalars = tuple(scalars)
         self.n = len(self.points)
         self.L = set_data.L
-        field = set_data.field
-        H_vals = set_data._associated_vals(self.scalars)
-        self.H = Poly._from_vals(field, H_vals)
-        remainders = _eea_vals(field, set_data.L_vals, H_vals)[0]
+        self.H = set_data.associated_poly(self.scalars)
+        remainders = _eea_vals(set_data.field, self.L.vals, self.H.vals)[0]
         self.remainder_degrees = [len(r) - 1 for r in remainders[1:]]
 
     @functools.cached_property
@@ -274,13 +263,12 @@ def is_lcd_bruteforce(spec: CartesianSpec, code: LinearCode | None = None) -> Lc
         code = generator_matrix(spec)
     G = code.generator
     field = G.field
-    g_vals = G._val_rows()
     gram_lcd = (
-        len(_echelon_vals(field, _gram_vals(field, g_vals), G.nrows))
+        len(_echelon_vals(field, _gram_vals(field, G.vals), G.nrows))
         == code.dimension
     )
-    parity = _nullspace_vals(field, [row[:] for row in g_vals], G.ncols)
-    inter = _intersection_vals(field, g_vals, parity, G.ncols)
+    parity = _nullspace_vals(field, [list(row) for row in G.vals], G.ncols)
+    inter = _intersection_vals(field, [list(row) for row in G.vals], parity, G.ncols)
     intersection_lcd = not inter
     if gram_lcd != intersection_lcd:
         raise InconsistencyError(

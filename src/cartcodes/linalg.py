@@ -6,9 +6,11 @@ oracle layer, so it stays deliberately simple — but because the
 cross-validation sweeps call it millions of times, the elimination core
 works on raw integer element codes through the arithmetic primitives
 every field carries (the row update ``sub_mul``, ``scale``, ``dot``,
-``mul``, ``neg`` and ``inv``; see ``Field._make_primitives``), and
-matrices convert at the boundary.  Each kernel has one body for every
-field: how a field computes is known to ``field.py`` alone.
+``mul``, ``neg`` and ``inv``; see ``Field._make_primitives``).  A
+:class:`Matrix` stores those codes too, so the kernels read its rows
+directly; field elements appear only where a matrix is built from them or
+its entries are read out.  Each kernel has one body for every field: how
+a field computes is known to ``field.py`` alone.
 
 Elimination comes in two depths.  ``_echelon_vals`` eliminates forward
 only (monic pivots, cleared below) and is all a rank needs: ``rank``,
@@ -128,9 +130,13 @@ def _intersection_vals(
 
 
 class Matrix:
-    """An immutable r x c matrix of field elements (r = 0 or c = 0 allowed)."""
+    """An immutable r x c matrix over a field (r = 0 or c = 0 allowed).
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    The entries are stored as integer element codes in ``vals``, a tuple of
+    row tuples; ``rows`` is the element view, built on each access.
+    """
+
+    __slots__ = ("field", "vals", "nrows", "ncols")
 
     def __init__(
         self,
@@ -138,10 +144,10 @@ class Matrix:
         rows: Iterable[Iterable[FieldElement]],
         ncols: int | None = None,
     ):
-        rows = tuple(tuple(row) for row in rows)
-        if rows:
-            ncols_actual = len(rows[0])
-            if any(len(row) != ncols_actual for row in rows):
+        vals = tuple(tuple(field._codes_of(row)) for row in rows)
+        if vals:
+            ncols_actual = len(vals[0])
+            if any(len(row) != ncols_actual for row in vals):
                 raise ValueError("rows have inconsistent lengths")
             if ncols is not None and ncols != ncols_actual:
                 raise ValueError("ncols does not match row length")
@@ -149,11 +155,26 @@ class Matrix:
         elif ncols is None:
             ncols = 0
         self.field = field
-        self.rows = rows
-        self.nrows = len(rows)
+        self.vals = vals
+        self.nrows = len(vals)
         self.ncols = ncols
 
+    @property
+    def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
+        get = self.field._get
+        return tuple(tuple([get(v) for v in row]) for row in self.vals)
+
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _from_vals(cls, field: Field, vals: Iterable[Iterable[int]], ncols: int) -> "Matrix":
+        """From rows of integer codes of ``field``, unchecked."""
+        matrix = cls.__new__(cls)
+        matrix.field = field
+        matrix.vals = tuple(map(tuple, vals))
+        matrix.nrows = len(matrix.vals)
+        matrix.ncols = ncols
+        return matrix
 
     @classmethod
     def from_ints(
@@ -163,76 +184,65 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        zero, one = field.zero, field.one
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._from_vals(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zero(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._from_vals(field, [(0,) * ncols] * nrows, ncols)
 
     @classmethod
     def empty(cls, field: Field, ncols: int) -> "Matrix":
-        return cls(field, (), ncols)
-
-    # -- boundary conversion to/from integer codes ------------------------------
-
-    def _val_rows(self) -> list[list[int]]:
-        return [[x.val for x in row] for row in self.rows]
-
-    @classmethod
-    def _from_vals(cls, field: Field, vals: Iterable[Iterable[int]], ncols: int) -> "Matrix":
-        get = field._get
-        return cls(field, [[get(v) for v in row] for row in vals], ncols)
+        return cls._from_vals(field, (), ncols)
 
     # -- shape and combination --------------------------------------------------
 
+    def _check_field(self, other: "Matrix", action: str) -> Field:
+        field = self.field
+        if other.field is not field:
+            raise FieldMismatchError(f"cannot {action} matrices over {field} and {other.field}")
+        return field
+
     def transpose(self) -> "Matrix":
-        if not self.rows:
-            return Matrix(self.field, [()] * self.ncols, 0)
-        return Matrix(self.field, zip(*self.rows), self.nrows)
+        if not self.vals:
+            return Matrix._from_vals(self.field, [()] * self.ncols, 0)
+        return Matrix._from_vals(self.field, zip(*self.vals), self.nrows)
 
     def vstack(self, other: "Matrix") -> "Matrix":
+        field = self._check_field(other, "stack")
         if other.ncols != self.ncols:
             raise ValueError("column counts differ")
-        return Matrix(self.field, self.rows + other.rows, self.ncols)
+        return Matrix._from_vals(field, self.vals + other.vals, self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        field = self.field
-        if other.field is not field:
-            raise FieldMismatchError(
-                f"cannot multiply matrices over {field} and {other.field}"
-            )
+        field = self._check_field(other, "multiply")
         if self.ncols != other.nrows:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        get, dot = field._get, field.dot
-        b_cols = list(zip(*other._val_rows())) if other.rows else [()] * other.ncols
-        out = [[get(dot(row, col)) for col in b_cols] for row in self._val_rows()]
-        return Matrix(field, out, other.ncols)
+        dot = field.dot
+        b_cols = list(zip(*other.vals)) if other.vals else [()] * other.ncols
+        out = [[dot(row, col) for col in b_cols] for row in self.vals]
+        return Matrix._from_vals(field, out, other.ncols)
 
     def row_vector_mul(self, vector: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """vector @ self for a length-nrows vector."""
         if len(vector) != self.nrows:
             raise ValueError("vector length does not match row count")
-        zero = self.field.zero
-        out = [zero] * self.ncols
-        for x, row in zip(vector, self.rows):
-            if x.val == 0:
-                continue
-            for j, a in enumerate(row):
-                if a.val != 0:
-                    out[j] = out[j] + x * a
-        return tuple(out)
+        field = self.field
+        neg, sub_mul, get = field.neg, field.sub_mul, field._get
+        out = [0] * self.ncols
+        for x, row in zip(field._codes_of(vector), self.vals):
+            if x:
+                sub_mul(out, neg(x), row, 0)
+        return tuple([get(v) for v in out])
 
     # -- elimination ------------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row echelon form, rank, and pivot columns."""
-        vals = self._val_rows()
+        vals = [list(row) for row in self.vals]
         pivots = _rref_vals(self.field, vals, self.ncols)
         return (
             Matrix._from_vals(self.field, vals, self.ncols),
@@ -241,11 +251,11 @@ class Matrix:
         )
 
     def rank(self) -> int:
-        return len(_echelon_vals(self.field, self._val_rows(), self.ncols))
+        return len(_echelon_vals(self.field, [list(row) for row in self.vals], self.ncols))
 
     def nullspace(self) -> "Matrix":
         """Basis rows of {x : self @ x^T = 0}; row count = ncols - rank."""
-        basis = _nullspace_vals(self.field, self._val_rows(), self.ncols)
+        basis = _nullspace_vals(self.field, [list(row) for row in self.vals], self.ncols)
         return Matrix._from_vals(self.field, basis, self.ncols)
 
     def is_nonsingular(self) -> bool:
@@ -258,8 +268,8 @@ class Matrix:
             raise ValueError("only square matrices can be inverted")
         n = self.nrows
         rows = [
-            vals + [1 if i == j else 0 for j in range(n)]
-            for i, vals in enumerate(self._val_rows())
+            list(vals) + [int(i == j) for j in range(n)]
+            for i, vals in enumerate(self.vals)
         ]
         pivots = _rref_vals(self.field, rows, 2 * n)
         # A pivot escaping into the identity block means the left block is
@@ -277,7 +287,7 @@ class Matrix:
         field = self.field
         mul, neg, inv, sub_mul = field.mul, field.neg, field.inv, field.sub_mul
         n = self.nrows
-        rows = self._val_rows()
+        rows = [list(row) for row in self.vals]
         det = 1
         for c in range(n):
             for i in range(c, n):
@@ -301,29 +311,31 @@ class Matrix:
     # -- row-space queries --------------------------------------------------------
 
     def nonzero_rows(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [row for row in self.rows if any(x.val for x in row)],
-            self.ncols,
-        )
+        return Matrix._from_vals(self.field, [row for row in self.vals if any(row)], self.ncols)
 
     def row_space_contains(self, vector: Sequence[FieldElement]) -> bool:
+        """One forward elimination of the rows, then the vector reduced
+        against the monic pivot rows (each zero left of its pivot)."""
         if len(vector) != self.ncols:
             raise ValueError("vector length does not match column count")
-        if all(x.val == 0 for x in vector):
-            return True
         field = self.field
-        vals = self._val_rows()
-        base_rank = len(_echelon_vals(field, [list(r) for r in vals], self.ncols))
-        vals.append([x.val for x in vector])
-        return len(_echelon_vals(field, vals, self.ncols)) == base_rank
+        rest = field._codes_of(vector)
+        if not any(rest):
+            return True
+        rows = [list(row) for row in self.vals]
+        pivots = _echelon_vals(field, rows, self.ncols)
+        sub_mul = field.sub_mul
+        for row, c in zip(rows, pivots):
+            if rest[c]:
+                sub_mul(rest, rest[c], row, 0)
+        return not any(rest)
 
     def same_row_space(self, other: "Matrix") -> bool:
         if other.ncols != self.ncols:
             return False
         return (
-            self.rref()[0].nonzero_rows().rows
-            == other.rref()[0].nonzero_rows().rows
+            self.rref()[0].nonzero_rows().vals
+            == other.rref()[0].nonzero_rows().vals
         )
 
     # -- identity and display -------------------------------------------------------
@@ -334,14 +346,14 @@ class Matrix:
         return (
             self.field is other.field
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.vals == other.vals
         )
 
     def __hash__(self):
-        return hash((self.field, self.ncols, self.rows))
+        return hash((self.field, self.ncols, self.vals))
 
     def __str__(self):
-        if not self.rows:
+        if not self.vals:
             return f"<empty 0x{self.ncols}>"
         cells = [[str(x) for x in row] for row in self.rows]
         width = max(len(s) for row in cells for s in row)
@@ -363,7 +375,10 @@ def subspace_intersection(U: Matrix, W: Matrix) -> Matrix:
     whose left half vanished carry an intersection basis in their right
     half, returned in reduced row echelon form (unique for the subspace).
     """
+    field = U._check_field(W, "intersect")
     if U.ncols != W.ncols:
         raise ValueError("subspaces live in different ambient dimensions")
-    basis = _intersection_vals(U.field, U._val_rows(), W._val_rows(), U.ncols)
-    return Matrix._from_vals(U.field, basis, U.ncols)
+    basis = _intersection_vals(
+        field, [list(row) for row in U.vals], [list(row) for row in W.vals], U.ncols
+    )
+    return Matrix._from_vals(field, basis, U.ncols)

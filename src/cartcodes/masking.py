@@ -52,13 +52,13 @@ def build_context(spec: CartesianSpec) -> MaskingContext:
     tests cross-check that both give the same row space.  A full-space code
     yields a degenerate context with an empty parity part.
     """
-    report = is_lcd_bruteforce(spec)
+    code = generator_matrix(spec)
+    report = is_lcd_bruteforce(spec, code=code)
     if not report.is_lcd:
         raise NotLcdError(
             f"cannot build a masking context: {spec!r} is not LCD",
             witness=report.witness,
         )
-    code = generator_matrix(spec)
     dual = dual_spec(spec)
     if dual is None:
         parity = Matrix.empty(spec.field, spec.n)
@@ -89,18 +89,13 @@ def split(
     if len(z) != ctx.n:
         raise ValueError(f"expected a vector of length {ctx.n}, got {len(z)}")
     G, H = ctx.code.generator, ctx.parity
-    zG = G.transpose().row_vector_mul(tuple(z))
-    x_part = ctx.gram_inv.row_vector_mul(zG)
-    if H.nrows:
-        zH = H.transpose().row_vector_mul(tuple(z))
-        y_part = ctx.parity_gram_inv.row_vector_mul(zH)
-    else:
-        y_part = ()
-    recombined = list(G.row_vector_mul(x_part))
-    if H.nrows:
-        for i, value in enumerate(H.row_vector_mul(y_part)):
-            recombined[i] = recombined[i] + value
-    if tuple(recombined) != tuple(z):
+    field = G.field
+    dot, get = field.dot, field._get
+    z_codes = field._codes_of(z)
+    # z G^T and z H^T: one dot product per code row (H may have no rows)
+    x_part = ctx.gram_inv.row_vector_mul([get(dot(row, z_codes)) for row in G.vals])
+    y_part = ctx.parity_gram_inv.row_vector_mul([get(dot(row, z_codes)) for row in H.vals])
+    if G.vstack(H).row_vector_mul(x_part + y_part) != tuple(z):
         raise InconsistencyError("projection did not recompose to the input")
     return x_part, y_part
 

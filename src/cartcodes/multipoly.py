@@ -300,19 +300,12 @@ class CartesianSet:
     def derivative_values(self) -> list[list[FieldElement]]:
         """L_i'(a) for every component i and element a of A_i."""
         if self._derivatives is None:
-            field = self.field
-            add, mul, get = field.add, field.mul, field._get
-            out = []
-            for li, comp in zip(self.vanishing_generators(), self.components):
-                coeffs = [c.val for c in reversed(formal_derivative(li).coeffs)]
-                row = []
-                for a in comp:
-                    acc, x = 0, a.val
-                    for c in coeffs:
-                        acc = add(mul(acc, x), c)
-                    row.append(get(acc))
-                out.append(row)
-            self._derivatives = out
+            self._derivatives = [
+                [deriv(a) for a in comp]
+                for deriv, comp in zip(
+                    map(formal_derivative, self.vanishing_generators()), self.components
+                )
+            ]
         return [list(row) for row in self._derivatives]
 
     def __repr__(self):

@@ -7,9 +7,11 @@ with full Bezout bookkeeping.
 
 Long division and the Euclidean sequence each have one kernel on lists of
 integer element codes (:func:`_divmod_vals`, :func:`_eea_vals`), written on
-the primitives of :class:`~cartcodes.field.Field`.  :class:`Poly` and
-:func:`eea_sequence` wrap them in field elements at the API boundary, and
-callers that need only remainder degrees run the kernel directly.
+the primitives of :class:`~cartcodes.field.Field`.  A :class:`Poly` stores
+its coefficients as those codes, so its arithmetic and
+:func:`eea_sequence` hand them to the kernels as they are; field elements
+appear only where a polynomial is built from them or read out.  Callers
+that need only remainder degrees run the kernel directly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, InconsistencyError, NotCoprimeError
-from .field import Field, FieldElement
+from .field import Field, FieldElement, _trim
 
 # degree(0); compares below every integer and survives max()/comparisons,
 # unlike a -1 sentinel that could leak into arithmetic.
@@ -28,28 +30,31 @@ NEG_INF = float("-inf")
 class Poly:
     """A univariate polynomial, coefficients indexed by exponent.
 
-    Always normalized: the stored coefficient vector is empty (the zero
-    polynomial) or ends with a nonzero leading coefficient.
+    The coefficients are stored as integer element codes in ``vals``,
+    always normalized: empty (the zero polynomial) or ending with a nonzero
+    leading code.  ``coeffs`` is the element view, built on each access.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "vals")
 
     def __init__(self, field: Field, coeffs: Iterable[FieldElement] = ()):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].val == 0:
-            coeffs.pop()
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.vals = tuple(_trim(field._codes_of(coeffs)))
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        get = self.field._get
+        return tuple([get(v) for v in self.vals])
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":
-        return cls(field, ())
+        return cls._from_vals(field, ())
 
     @classmethod
     def one(cls, field: Field) -> "Poly":
-        return cls(field, (field.one,))
+        return cls._from_vals(field, (1,))
 
     @classmethod
     def constant(cls, c: FieldElement) -> "Poly":
@@ -57,15 +62,15 @@ class Poly:
 
     @classmethod
     def x(cls, field: Field) -> "Poly":
-        return cls(field, (field.zero, field.one))
+        return cls._from_vals(field, (0, 1))
 
     @classmethod
-    def _from_vals(cls, field: Field, vals: Sequence[int]) -> "Poly":
-        """From a normalized list of integer codes (no trailing zero)."""
+    def _from_vals(cls, field: Field, vals: Iterable[int]) -> "Poly":
+        """From normalized integer codes of ``field`` (no trailing zero),
+        unchecked."""
         poly = cls.__new__(cls)
         poly.field = field
-        get = field._get
-        poly.coeffs = tuple([get(v) for v in vals])
+        poly.vals = tuple(vals)
         return poly
 
     @classmethod
@@ -82,21 +87,21 @@ class Poly:
     @property
     def degree(self):
         """Integer degree, or NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.vals) - 1 if self.vals else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vals
 
     @property
     def leading_coefficient(self) -> FieldElement:
-        if not self.coeffs:
+        if not self.vals:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field._get(self.vals[-1])
 
     def coefficient(self, exponent: int) -> FieldElement:
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
+        if 0 <= exponent < len(self.vals):
+            return self.field._get(self.vals[exponent])
         return self.field.zero
 
     # -- ring operations ----------------------------------------------------
@@ -104,13 +109,10 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
+        field = self._check_field(other)
+        # self - (-1) * other
+        out = _sub_mul_vals(field, self.vals, (field.neg(1),), other.vals)
+        return Poly._from_vals(field, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -118,7 +120,8 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, tuple(-c for c in self.coeffs))
+        neg = self.field.neg
+        return Poly._from_vals(self.field, [neg(c) for c in self.vals])
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -126,16 +129,15 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         field = self._check_field(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.vals, other.vals
         if len(a) > len(b):
             a, b = b, a
         # 0 - (-a) * b: one row update per coefficient of the shorter
         # factor, so that a product with a linear factor costs two updates.
         neg = field.neg
-        out = _sub_mul_vals(field, [], [neg(c.val) for c in a], [c.val for c in b])
-        return Poly._from_vals(field, out)
+        return Poly._from_vals(field, _sub_mul_vals(field, [], [neg(c) for c in a], b))
 
-    def _check_field(self, other: "Poly") -> Field:
+    def _check_field(self, other: "Poly | FieldElement") -> Field:
         field = self.field
         if other.field is not field:
             raise FieldMismatchError(
@@ -149,9 +151,12 @@ class Poly:
         return NotImplemented
 
     def scale(self, c: FieldElement) -> "Poly":
+        field = self._check_field(c)
         if c.val == 0:
-            return Poly.zero(self.field)
-        return Poly(self.field, tuple(c * a for a in self.coeffs))
+            return Poly.zero(field)
+        vals = list(self.vals)
+        field.scale(vals, c.val, 0)
+        return Poly._from_vals(field, vals)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Long division: self = q * other + r with deg r < deg other."""
@@ -160,9 +165,7 @@ class Poly:
         field = self._check_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quot, rem = _divmod_vals(
-            field, [c.val for c in self.coeffs], [c.val for c in other.coeffs]
-        )
+        quot, rem = _divmod_vals(field, self.vals, other.vals)
         return Poly._from_vals(field, quot), Poly._from_vals(field, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -178,30 +181,31 @@ class Poly:
 
     def __call__(self, x: FieldElement) -> FieldElement:
         """Evaluation by Horner's rule."""
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        field = self._check_field(x)
+        add, mul, a = field.add, field.mul, x.val
+        acc = 0
+        for c in reversed(self.vals):
+            acc = add(mul(acc, a), c)
+        return field._get(acc)
 
     # -- identity and display -------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.field is other.field and self.vals == other.vals
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.vals))
 
     def __str__(self):
         if self.is_zero:
             return "0"
         parts = []
-        for exp in reversed(range(len(self.coeffs))):
-            c = self.coeffs[exp]
-            if c.val == 0:
+        for exp in reversed(range(len(self.vals))):
+            if not self.vals[exp]:
                 continue
-            cs = str(c)
+            cs = str(self.field._get(self.vals[exp]))
             if "+" in cs:
                 cs = f"({cs})"
             if exp == 0:
@@ -237,9 +241,7 @@ def _divmod_vals(field: Field, a: list[int], b: list[int]) -> tuple[list[int], l
             shift = len(rem) - db
             quot[shift] = factor
             sub_mul(rem, factor, low, shift)
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
+    return quot, _trim(rem)
 
 
 def _sub_mul_vals(field: Field, y: list[int], q: list[int], x: list[int]) -> list[int]:
@@ -251,9 +253,7 @@ def _sub_mul_vals(field: Field, y: list[int], q: list[int], x: list[int]) -> lis
         for i, c in enumerate(q):
             if c:
                 sub_mul(out, c, x, i)
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _trim(out)
 
 
 # -- point-set constructions --------------------------------------------------
@@ -291,10 +291,10 @@ def lagrange_term(points: Sequence[FieldElement], a: FieldElement) -> Poly:
 def formal_derivative(f: Poly) -> Poly:
     """Coefficient-rule derivative; multiples of the characteristic vanish."""
     field = f.field
-    out = []
-    for i in range(1, len(f.coeffs)):
-        out.append(field.element(i % field.p) * f.coeffs[i])
-    return Poly(field, out)
+    mul, p = field.mul, field.p
+    return Poly._from_vals(
+        field, _trim([mul(i % p, c) for i, c in enumerate(f.vals) if i])
+    )
 
 
 def interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Poly:
@@ -413,9 +413,7 @@ def eea_sequence(L: Poly, H: Poly) -> EeaResult:
     """
     field = L.field
     H._check_field(L)
-    rems, quots, hs, fs, constant = _eea_vals(
-        field, [c.val for c in L.coeffs], [c.val for c in H.coeffs]
-    )
+    rems, quots, hs, fs, constant = _eea_vals(field, L.vals, H.vals)
     poly = Poly._from_vals
     steps = [
         EeaStep(

@@ -188,6 +188,15 @@ def test_cross_field_matmul_rejected():
         a @ b
     with pytest.raises(FieldMismatchError):
         b @ a
+    with pytest.raises(FieldMismatchError):
+        a.vstack(b.transpose())
+    with pytest.raises(FieldMismatchError):
+        subspace_intersection(a, b.transpose())
+    # elements of another field never enter a matrix (GF(11)'s 10 is no code of GF(7))
+    with pytest.raises(FieldMismatchError):
+        Matrix(F7, [[GF(11).element(10), F7.one]])
+    with pytest.raises(FieldMismatchError):
+        a.row_space_contains([GF(11).element(10), F7.one])
 
 
 def test_json_and_str():

@@ -1,7 +1,9 @@
 """Property suite: every module-level invariant, >= 1000 cases each,
 fixed seeds throughout."""
 
+import copy
 import itertools
+import pickle
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -353,7 +355,7 @@ def test_echelon_pivots_match_gauss_jordan():
         m = random_deficient_matrix(rng, field, rng.randrange(0, 7), ncols)
         ref_rows, ref_pivots = gauss_jordan_reference(m.rows, ncols)
         ref_vals = [[x.val for x in row] for row in ref_rows]
-        vals = m._val_rows()
+        vals = [list(row) for row in m.vals]
         pivots = _echelon_vals(field, vals, ncols)
         assert pivots == ref_pivots
         # echelon shape: monic pivots, zeros left of and below each pivot
@@ -363,8 +365,56 @@ def test_echelon_pivots_match_gauss_jordan():
         assert not any(any(row) for row in vals[len(pivots) :])
         # same row space: reducing the echelon form gives the reference
         assert _rref_vals(field, vals, ncols) == ref_pivots and vals == ref_vals
-        fresh = m._val_rows()
+        fresh = [list(row) for row in m.vals]
         assert _rref_vals(field, fresh, ncols) == ref_pivots and fresh == ref_vals
+
+
+def test_row_space_contains_matches_rank():
+    rng = random.Random(0x5BAC)
+    inside = 0
+    for case in range(CASES):
+        field = rng.choice(LINALG_FIELDS)
+        ncols = rng.randrange(1, 7)
+        m = random_deficient_matrix(rng, field, rng.randrange(0, 6), ncols)
+        if case % 2:
+            # a combination of the rows, so that about half the cases lie inside
+            vector = [field.zero] * ncols
+            for row in m.rows:
+                c = field._get(rng.randrange(field.order))
+                vector = [x + c * y for x, y in zip(vector, row)]
+        else:
+            vector = [field._get(rng.randrange(field.order)) for _ in range(ncols)]
+        expected = m.vstack(Matrix(field, [vector], ncols)).rank() == m.rank()
+        assert m.row_space_contains(vector) == expected
+        inside += expected
+    assert inside >= CASES // 4
+
+
+def test_code_storage_round_trips_and_kernels_leave_operands():
+    rng = random.Random(0x57C0)
+    for _ in range(CASES):
+        field = rng.choice(LINALG_FIELDS)
+        ncols = rng.randrange(1, 6)
+        m = random_deficient_matrix(rng, field, rng.randrange(0, 5), ncols)
+        w = random_deficient_matrix(rng, field, rng.randrange(0, 5), ncols)
+        p = Poly(field, [field._get(rng.randrange(field.order)) for _ in range(rng.randrange(7))])
+        points = random_subset(rng, field, 2, 6)
+        L = vanishing_poly(points)
+        H = PointSetData(points).associated_poly(random_scalars(rng, field, len(points)))
+        for obj, rebuilt in ((m, Matrix(field, m.rows, m.ncols)), (p, Poly(field, p.coeffs))):
+            for clone in (rebuilt, pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert clone == obj and hash(clone) == hash(obj) and clone.field is field
+        operands = (m, w, p, L, H)
+        before = [x.vals for x in operands]
+        m.rref()
+        m.nullspace()
+        subspace_intersection(m, w)
+        eea_sequence(L, H)
+        divmod(p, L)
+        if not p.is_zero:
+            divmod(L, p)
+        assert [x.vals for x in operands] == before
+        assert all(type(row) is tuple for row in m.vals) and type(p.vals) is tuple
 
 
 def test_intersection_matches_gauss_jordan_zassenhaus():

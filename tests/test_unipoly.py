@@ -203,6 +203,15 @@ def test_cross_field_poly_rejected():
             x * y
         with pytest.raises(FieldMismatchError):
             divmod(x, y)
+        with pytest.raises(FieldMismatchError):
+            x + y
+    # elements of another field never enter a polynomial
+    with pytest.raises(FieldMismatchError):
+        Poly(GF(7), [GF(11).element(10), GF(7).one])
+    with pytest.raises(FieldMismatchError):
+        a.scale(GF(11).element(3))
+    with pytest.raises(FieldMismatchError):
+        a(GF(11).element(3))
 
 
 def test_poly_display():
