@@ -12,15 +12,18 @@ This is the only module that knows how a field does its arithmetic.  Each
 :meth:`Field._make_primitives`): prime fields compute inline mod p, small
 extension fields look codes up in flat integer tables, larger ones work on
 coefficient vectors.  :class:`FieldElement` operations and the elimination
-and polynomial kernels elsewhere all run on those primitives.  For orders
-up to 256 the q elements are interned, so element arithmetic allocates
-nothing.
+and polynomial kernels elsewhere all run on those primitives; prime fields
+also eliminate wide matrices on packed rows, one big integer per row.  For
+orders up to 256 the q elements are interned, so element arithmetic
+allocates nothing.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import partial
 from operator import mul as _int_mul
+from struct import Struct, calcsize
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError
@@ -30,6 +33,14 @@ from .errors import FieldMismatchError
 _TABLE_MAX_ORDER = 256
 
 _MAX_CHARACTERISTIC = 1 << 31
+
+# Packed rows are written through struct's little-endian items and read
+# through memoryview casts to the native items of the same codes, so hosts
+# whose native items differ in byte order or size do without them.
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_PACKED_ROWS = sys.byteorder == "little" and all(
+    calcsize(code) == size for size, code in _SLOT_CODES.items()
+)
 
 
 def is_prime(n: int) -> bool:
@@ -143,6 +154,97 @@ def _find_modulus(p: int, e: int) -> tuple[int, ...]:
         if _is_irreducible(mod, p):
             return tuple(mod)
     raise AssertionError(f"no irreducible polynomial of degree {e} over GF({p})")
+
+
+# --- packed rows over GF(p) ---------------------------------------------
+
+
+def _packed_echelon(p: int, rows: list[list[int]], ncols: int, reduce: bool) -> list[int]:
+    """Row echelon form over GF(p) on packed rows, in place; returns the
+    pivot columns.  With ``reduce`` the form is fully reduced.
+
+    Each row is one integer holding an entry per slot of ``8 * size`` bits,
+    column c at bit ``c * 8 * size``, so one row update ``y += g * x`` is a
+    couple of big-integer operations instead of a loop over the entries.
+    Entries are left unreduced between pivots: a pivot row is unpacked,
+    reduced, made monic and repacked before it is used, and every other
+    update adds a multiple ``g = p - f`` of it, where ``f`` is the entry to
+    clear mod p.  A slot starts below p and takes at most one update of at
+    most (p - 1)^2 per pivot, so slots sized for p + (nrows + 1) p^2 never
+    carry.  The rows come back as the codes, pivots and row order of the
+    per-entry elimination.
+
+    The forward sweep keeps the rows still to be eliminated shifted so that
+    the current column sits in their lowest slot: reading it is a mask, and
+    one shift per column drops it.  Back-substitution works on whole rows.
+    """
+    from_bytes = int.from_bytes
+    nrows = len(rows)
+    need = (p + (nrows + 1) * p * p).bit_length()
+    size = next(s for s in (1, 2, 4, 8, 16) if 8 * s >= need)
+    w = 8 * size
+    mask = (1 << w) - 1
+    # One item per slot; a 16-byte slot is an 8-byte item and 8 pad bytes,
+    # as no slot is packed at 2^64 or above.
+    code = _SLOT_CODES[min(size, 8)]
+    pack = Struct("<" + (f"{ncols}{code}" if size <= 8 else "Q8x" * ncols)).pack
+    if size <= 8:
+
+        def unpack(y, n, a):
+            """The n lowest slots of y, times a, reduced mod p."""
+            return [v * a % p for v in memoryview(y.to_bytes(n * size, "little")).cast(code)]
+
+    else:
+
+        def unpack(y, n, a):
+            words = memoryview(y.to_bytes(16 * n, "little")).cast(code)
+            return [(lo | hi << 64) * a % p for lo, hi in zip(words[::2], words[1::2])]
+
+    live = [from_bytes(pack(*row), "little") for row in rows]
+    out = []
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            f = (live[i] & mask) % p
+            if f:
+                break
+        else:
+            for i in range(r, nrows):
+                live[i] >>= w
+            continue
+        y = live[i]
+        live[i] = live[r]
+        row = [0] * c + unpack(y, ncols - c, pow(f, -1, p))
+        out.append(row)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+        x = from_bytes(pack(*row), "little") >> (c + 1) * w
+        for i in range(r, nrows):
+            y = live[i]
+            f = (y & mask) % p
+            live[i] = (y >> w) + (p - f) * x if f else y >> w
+    if reduce and r > 1:
+        full = [from_bytes(pack(*row), "little") for row in out]
+        for j in range(r - 1, 0, -1):
+            c = pivots[j]
+            shift = c * w
+            if j < r - 1:
+                # updated by the later pivots since it was packed
+                out[j] = [0] * c + unpack(full[j] >> shift, ncols - c, 1)
+                full[j] = from_bytes(pack(*out[j]), "little")
+            x = full[j]
+            for i in range(j):
+                y = full[i]
+                f = (y >> shift & mask) % p
+                if f:
+                    full[i] = y + (p - f) * x
+        c = pivots[0]
+        out[0] = [0] * c + unpack(full[0] >> c * w, ncols - c, 1)
+    rows[:] = out + [[0] * ncols for _ in range(nrows - r)]
+    return pivots
 
 
 class FieldElement:
@@ -293,6 +395,7 @@ class Field:
         "dot",
         "sub_mul",
         "scale",
+        "packed_echelon",
     )
 
     def __new__(cls, p: int, e: int = 1, modulus: Sequence[int] | None = None):
@@ -337,9 +440,8 @@ class Field:
         else:
             self._elems = None
             self._get = partial(FieldElement, self)
-        (self.add, self.mul, self.neg, self.inv, self.dot, self.sub_mul, self.scale) = (
-            self._make_primitives()
-        )
+        (self.add, self.mul, self.neg, self.inv, self.dot, self.sub_mul, self.scale,
+         self.packed_echelon) = self._make_primitives()
 
     # -- raw arithmetic on integer codes -----------------------------------
 
@@ -443,13 +545,20 @@ class Field:
         - ``dot(x, y)``: the sum of ``x[j] * y[j]``;
         - ``sub_mul(y, a, x, shift)``: the row update
           ``y[shift + j] -= a * x[j]`` for every ``j``, in place;
-        - ``scale(x, a, lo)``: ``x[j] *= a`` for every ``j >= lo``, in place.
+        - ``scale(x, a, lo)``: ``x[j] *= a`` for every ``j >= lo``, in place;
+        - ``packed_echelon(rows, ncols, reduce)``: the row echelon form of
+          code rows in place, fully reduced if ``reduce``, with the pivot
+          columns returned; or ``None``.
 
         Prime fields compute with inline ``% p``; extension fields of order
         up to 256 look codes up in the flat integer tables of
         :meth:`_build_tables`, and larger ones fall back to coefficient-vector
         arithmetic.  ``sub_mul`` skips zero entries of ``x``, so sparse rows
-        cost less.
+        cost less.  Elimination over these primitives goes one entry at a
+        time; prime fields also offer ``packed_echelon`` (see
+        :func:`_packed_echelon`), where a whole row update is one
+        big-integer multiply-add, and linalg takes it for wide matrices.
+        Extension fields, whose sums are no integer sums, have none.
         """
         if self.extension_degree == 1:
             p = self.p
@@ -479,7 +588,8 @@ class Field:
                     if x[j]:
                         x[j] = a * x[j] % p
 
-            return add, mul, neg, inv, dot, sub_mul, scale
+            packed = partial(_packed_echelon, p) if _PACKED_ROWS else None
+            return add, mul, neg, inv, dot, sub_mul, scale, packed
         if self.order <= _TABLE_MAX_ORDER:
             q = self.order
             add_v, mul_v, neg_v, inv_v = self._build_tables()
@@ -507,7 +617,7 @@ class Field:
                 for j in range(lo, len(x)):
                     x[j] = mul_v[row + x[j]]
 
-            return add, mul, neg_v.__getitem__, inv_v.__getitem__, dot, sub_mul, scale
+            return add, mul, neg_v.__getitem__, inv_v.__getitem__, dot, sub_mul, scale, None
         add, mul, neg = self._add_val, self._mul_val, self._neg_val
 
         def dot(x, y):
@@ -528,7 +638,7 @@ class Field:
                 if x[j]:
                     x[j] = mul(a, x[j])
 
-        return add, mul, neg, self._inv_val, dot, sub_mul, scale
+        return add, mul, neg, self._inv_val, dot, sub_mul, scale, None
 
     # -- element construction ----------------------------------------------
 
@@ -567,7 +677,14 @@ class Field:
         """The integer codes of ``elements``, which must all lie in this
         field: the entry check of the code-backed matrices and polynomials."""
         elements = tuple(elements)
-        codes = [x.val for x in elements if x.field is self]
+        try:
+            codes = [x.val for x in elements if x.field is self]
+        except AttributeError:
+            bad = next(x for x in elements if not isinstance(x, FieldElement))
+            raise TypeError(
+                f"expected FieldElement entries of {self}, got {bad!r}; "
+                "build from integer codes with from_ints"
+            ) from None
         if len(codes) != len(elements):
             bad = next(x for x in elements if x.field is not self)
             raise FieldMismatchError(f"{bad!r} is not an element of {self}")

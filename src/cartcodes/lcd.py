@@ -450,6 +450,7 @@ def search_lcd(
     ] * m
     for grid_combo in itertools.product(*component_choices):
         grid = CartesianSet([list(comp) for comp in grid_combo])
+        set_data = PointSetData(grid.components[0]) if m == 1 else None
         analyses: dict[tuple, UnivariateLcdAnalysis] = {}
         for scalars in _scalar_vectors(field, grid.size, scalar_policy, seed):
             for k in k_values:
@@ -461,7 +462,9 @@ def search_lcd(
                 if m == 1:
                     analysis = analyses.get(scalars)
                     if analysis is None:
-                        analysis = UnivariateLcdAnalysis(grid.components[0], scalars)
+                        analysis = UnivariateLcdAnalysis(
+                            grid.components[0], scalars, set_data=set_data
+                        )
                         analyses[scalars] = analysis
                     report = is_lcd_univariate(
                         grid.components[0], scalars, k, analysis=analysis

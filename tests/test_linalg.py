@@ -7,6 +7,7 @@ from cartcodes import (
     CartesianSpec,
     FieldMismatchError,
     Matrix,
+    Poly,
     SingularMatrixError,
     generator_matrix,
     dual_spec,
@@ -197,6 +198,17 @@ def test_cross_field_matmul_rejected():
         Matrix(F7, [[GF(11).element(10), F7.one]])
     with pytest.raises(FieldMismatchError):
         a.row_space_contains([GF(11).element(10), F7.one])
+
+
+def test_integer_entries_rejected_with_type_error():
+    # plain integers are no elements: the error names the type and from_ints
+    for build in (lambda: Matrix(F7, [[1, 2]]), lambda: Poly(F7, [1, 2])):
+        with pytest.raises(TypeError, match="FieldElement.*from_ints"):
+            build()
+    with pytest.raises(TypeError, match="FieldElement"):
+        Matrix(F7, [[F7.one, 2]])
+    assert Matrix.from_ints(F7, [[1, 2]]).vals == ((1, 2),)
+    assert Poly.from_ints(F7, [1, 2]).vals == (1, 2)
 
 
 def test_json_and_str():

@@ -37,7 +37,15 @@ from cartcodes import (
     vanishing_poly,
 )
 from cartcodes.lcd import LCD, PointSetData
-from cartcodes.linalg import _echelon_vals, _rref_vals
+from cartcodes.linalg import (
+    _PACKED_MIN_COLS,
+    _echelon_entries,
+    _echelon_vals,
+    _intersection_vals,
+    _nullspace_vals,
+    _rref_entries,
+    _rref_vals,
+)
 from cartcodes.multipoly import grlex_key
 
 CASES = 1000
@@ -49,6 +57,9 @@ AXIOM_FIELDS = SMALL_FIELDS + EXTENSION_FIELDS
 UNTABLED_FIELDS = [GF(1009), GF(3, 6)]
 # small primes, tabled and untabled extensions, and GF(1009)
 LINALG_FIELDS = SMALL_FIELDS + EXTENSION_FIELDS + UNTABLED_FIELDS
+# the prime fields above, which eliminate packed rows from _PACKED_MIN_COLS
+# columns on, and the largest characteristic, whose slots are two words
+PACKED_FIELDS = [f for f in LINALG_FIELDS if f.extension_degree == 1] + [GF(2**31 - 1)]
 # tabled and untabled, prime and extension
 REFERENCE_FIELDS = [GF(7), GF(3, 2)] + UNTABLED_FIELDS
 
@@ -465,6 +476,134 @@ def test_nullspace_orthogonal_exact():
         if ns.nrows:
             prod = m @ ns.transpose()
             assert all(x.val == 0 for row in prod.rows for x in row)
+
+
+def forward_worst_case(p, nrows, ncols):
+    """Code rows on which every forward update is the largest one: row i is
+    the sum of the rows [0.., 0, 1, -1, ..., -1] up to the i-th, so each
+    multiplier is 1 and each pivot row is -1 past its pivot, and the last
+    row takes nrows - 1 updates of (p - 1)^2 in every slot it keeps."""
+    rows, acc = [], [0] * ncols
+    for i in range(nrows):
+        step = [0] * i + [1] + [p - 1] * (ncols - i - 1)
+        acc = [(a + b) % p for a, b in zip(acc, step[:ncols])]
+        rows.append(acc)
+    return rows
+
+
+def backward_worst_case(p, nrows, ncols):
+    """An echelon form whose back-substitution updates are all the largest:
+    row i is the sum of the reduced rows [0.., 1 at j, 0.., -1, ..., -1] for
+    j >= i, so each multiplier is 1, and row 0 takes nrows - 1 updates of
+    (p - 1)^2 in every free column."""
+    r = min(nrows, ncols)
+    return [
+        [0] * i + [1] * (r - i) + [-(r - i) % p] * (ncols - r) for i in range(r)
+    ] + [[0] * ncols for _ in range(nrows - r)]
+
+
+def random_code_rows(rng, p, nrows, ncols):
+    """Dense, sparse, rank-deficient, with zero rows, all p - 1, or a
+    worst case for the slot width, as integer codes."""
+    kind = rng.randrange(6)
+    if kind == 4:
+        return forward_worst_case(p, nrows, ncols)
+    if kind == 5:
+        return backward_worst_case(p, nrows, ncols)
+    rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == 1:
+        rows = [[x if rng.random() < 0.2 else 0 for x in row] for row in rows]
+    elif kind == 2:
+        for i in rng.sample(range(nrows), nrows // 2):
+            if rng.random() < 0.5 or i < 2:
+                rows[i] = [0] * ncols
+            else:
+                a, b = rng.randrange(p), rng.randrange(p)
+                rows[i] = [(a * x + b * y) % p for x, y in zip(rows[0], rows[1])]
+    elif kind == 3:
+        rows = [[p - 1] * ncols for _ in range(nrows)]
+    return rows
+
+
+def assert_packed_matches_per_entry(field, rows, ncols):
+    for kernel, reference in ((_echelon_vals, _echelon_entries), (_rref_vals, _rref_entries)):
+        got, want = [list(row) for row in rows], [list(row) for row in rows]
+        assert kernel(field, got, ncols) == reference(field, want, ncols)
+        assert got == want
+
+
+def test_packed_elimination_matches_per_entry():
+    rng = random.Random(0x9AC4)
+    sides = [0, 0]
+    for _ in range(CASES):
+        field = rng.choice(PACKED_FIELDS)
+        ncols = rng.randrange(_PACKED_MIN_COLS - 12, _PACKED_MIN_COLS + 25)
+        rows = random_code_rows(rng, field.p, rng.randrange(0, 21), ncols)
+        assert_packed_matches_per_entry(field, rows, ncols)
+        sides[ncols >= _PACKED_MIN_COLS] += 1
+    assert min(sides) >= CASES // 4
+
+
+def test_packed_worst_case_slots_match_per_entry():
+    # every row count up to 24 fills each slot width the packing picks for
+    # these fields to its worst case, forward and in back-substitution
+    for field in PACKED_FIELDS:
+        for nrows in range(1, 25):
+            for ncols in (_PACKED_MIN_COLS, _PACKED_MIN_COLS + nrows % 7 + 1):
+                for build in (forward_worst_case, backward_worst_case):
+                    assert_packed_matches_per_entry(field, build(field.p, nrows, ncols), ncols)
+
+
+def nullspace_reference(rows, ncols):
+    """Kernel basis read off the Gauss-Jordan reference, one vector per
+    free column, as integer codes."""
+    reduced, pivots = gauss_jordan_reference(rows, ncols)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = (-row[fc]).val
+        basis.append(vec)
+    return basis
+
+
+def test_packed_nullspace_and_intersection_match_references():
+    rng = random.Random(0x2B17)
+    sides = [0, 0]
+    meets = 0
+    for case in range(CASES):
+        field = rng.choice(PACKED_FIELDS)
+        p = field.p
+        if case % 2:
+            ncols = rng.randrange(_PACKED_MIN_COLS - 8, _PACKED_MIN_COLS + 13)
+            vals = random_code_rows(rng, p, rng.randrange(0, 11), ncols)
+            m = Matrix.from_ints(field, vals, ncols)
+            assert _nullspace_vals(field, [list(row) for row in vals], ncols) == (
+                nullspace_reference(m.rows, ncols)
+            )
+        else:
+            # the Zassenhaus matrix is 2 * ncols wide
+            ncols = rng.randrange(_PACKED_MIN_COLS // 2 - 4, _PACKED_MIN_COLS // 2 + 9)
+            u_vals = random_code_rows(rng, p, rng.randrange(0, 9), ncols)
+            u = Matrix.from_ints(field, u_vals, ncols)
+            if rng.random() < 0.5:
+                w = u.nullspace()  # the dual, as the LCD oracle pairs them
+            else:
+                w_vals = random_code_rows(rng, p, rng.randrange(0, 9), ncols)
+                # plant a shared row half the time
+                if u_vals and w_vals and rng.random() < 0.5:
+                    w_vals[0] = list(u_vals[-1])
+                w = Matrix.from_ints(field, w_vals, ncols)
+            got = _intersection_vals(
+                field, [list(row) for row in u.vals], [list(row) for row in w.vals], ncols
+            )
+            want = zassenhaus_reference(u, w)
+            assert got == [[x.val for x in row] for row in want]
+            meets += bool(got)
+            ncols *= 2
+        sides[ncols >= _PACKED_MIN_COLS] += 1
+    assert min(sides) >= CASES // 4 and meets >= 50
 
 
 # ---- code constructions ------------------------------------------------------
