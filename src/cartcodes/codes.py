@@ -183,38 +183,31 @@ def min_distance_formula(
 
 def generator_matrix(spec: CartesianSpec) -> LinearCode:
     """Rows are the scaled evaluations of the basis monomials, in
-    graded-lex monomial order."""
-    cset = spec.cset
-    basis = monomial_basis(cset, spec.k)
-    mul = cset.field.mul
-    # Per-point power tables on codes: pows[i][a-index][e] = a^e.
-    max_exp = [min(n - 1, spec.k - 1) for n in cset.sizes]
-    pows = []
-    for i, comp in enumerate(cset.components):
-        table = []
-        for a in comp:
-            row = [1]
-            for _ in range(max_exp[i]):
-                row.append(mul(row[-1], a.val))
-            table.append(row)
-        pows.append(table)
+    graded-lex monomial order.
 
-    # the index form of cset.points, in the same row-major order
-    point_coords = list(itertools.product(*(range(s) for s in cset.sizes)))
-    rows = []
-    for exps in basis:
-        row = []
-        for v, coords in zip(spec.scalars, point_coords):
-            acc = v.val
-            for i, e in enumerate(exps):
-                if e:
-                    acc = mul(acc, pows[i][coords[i]][e])
-            row.append(acc)
-        rows.append(row)
+    The row of the constant monomial is the scalars; every other monomial
+    t takes the row of t - e_i, where i is t's first nonzero exponent, times
+    coordinate i of each point.  That row is of lower degree, so it comes
+    earlier in graded-lex order.
+    """
+    cset = spec.cset
+    mul = cset.field.mul
+    # coordinate i of every point, in cset.points order, as codes
+    points = itertools.product(*([a.val for a in comp] for comp in cset.components))
+    coords = list(zip(*points))
+    rows = {}
+    for exps in monomial_basis(cset, spec.k):
+        for i, e in enumerate(exps):
+            if e:
+                parent = rows[exps[:i] + (e - 1,) + exps[i + 1 :]]
+                rows[exps] = list(map(mul, parent, coords[i]))
+                break
+        else:
+            rows[exps] = [v.val for v in spec.scalars]
     return LinearCode(
-        generator=Matrix._from_vals(cset.field, rows, cset.size),
+        generator=Matrix._from_vals(cset.field, rows.values(), cset.size),
         n=cset.size,
-        dimension=len(basis),
+        dimension=len(rows),
     )
 
 

@@ -13,9 +13,9 @@ This is the only module that knows how a field does its arithmetic.  Each
 extension fields look codes up in flat integer tables, larger ones work on
 coefficient vectors.  :class:`FieldElement` operations and the elimination
 and polynomial kernels elsewhere all run on those primitives; prime fields
-also eliminate wide matrices on packed rows, one big integer per row.  For
-orders up to 256 the q elements are interned, so element arithmetic
-allocates nothing.
+and the tabled fields of characteristic 2 also eliminate and multiply wide
+matrices on packed rows, one big integer per row.  For orders up to 256 the
+q elements are interned, so element arithmetic allocates nothing.
 """
 
 from __future__ import annotations
@@ -156,34 +156,26 @@ def _find_modulus(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {e} over GF({p})")
 
 
-# --- packed rows over GF(p) ---------------------------------------------
+# --- packed rows ----------------------------------------------------------
+#
+# Prime fields hold a row as one integer with a slot of 8, 16, 32, 64 or
+# 128 bits per entry, wide enough that the sums a kernel forms never carry
+# out of a slot, and reduce mod p only when a row is unpacked.  Tabled
+# fields of characteristic 2 hold a row as one byte per entry: their sums
+# are XOR, which never carries, and a row times a constant is one
+# ``bytes.translate`` through that constant's multiplication table.
 
 
-def _packed_echelon(p: int, rows: list[list[int]], ncols: int, reduce: bool) -> list[int]:
-    """Row echelon form over GF(p) on packed rows, in place; returns the
-    pivot columns.  With ``reduce`` the form is fully reduced.
+def _slot_layout(p: int, bound: int, ncols: int):
+    """The packing of GF(p) rows of ``ncols`` codes into integers whose
+    slots hold values up to ``bound`` without carrying.
 
-    Each row is one integer holding an entry per slot of ``8 * size`` bits,
-    column c at bit ``c * 8 * size``, so one row update ``y += g * x`` is a
-    couple of big-integer operations instead of a loop over the entries.
-    Entries are left unreduced between pivots: a pivot row is unpacked,
-    reduced, made monic and repacked before it is used, and every other
-    update adds a multiple ``g = p - f`` of it, where ``f`` is the entry to
-    clear mod p.  A slot starts below p and takes at most one update of at
-    most (p - 1)^2 per pivot, so slots sized for p + (nrows + 1) p^2 never
-    carry.  The rows come back as the codes, pivots and row order of the
-    per-entry elimination.
-
-    The forward sweep keeps the rows still to be eliminated shifted so that
-    the current column sits in their lowest slot: reading it is a mask, and
-    one shift per column drops it.  Back-substitution works on whole rows.
+    Returns ``(w, pack, unpack)``: the slot width in bits; ``pack(*row)``,
+    the little-endian bytes that ``int.from_bytes(..., "little")`` turns
+    into a packed row, column c at bit ``c * w``; and ``unpack(y, n, a)``,
+    the n lowest slots of y, times a, reduced mod p.
     """
-    from_bytes = int.from_bytes
-    nrows = len(rows)
-    need = (p + (nrows + 1) * p * p).bit_length()
-    size = next(s for s in (1, 2, 4, 8, 16) if 8 * s >= need)
-    w = 8 * size
-    mask = (1 << w) - 1
+    size = next(s for s in (1, 2, 4, 8, 16) if 8 * s >= bound.bit_length())
     # One item per slot; a 16-byte slot is an 8-byte item and 8 pad bytes,
     # as no slot is packed at 2^64 or above.
     code = _SLOT_CODES[min(size, 8)]
@@ -191,7 +183,6 @@ def _packed_echelon(p: int, rows: list[list[int]], ncols: int, reduce: bool) -> 
     if size <= 8:
 
         def unpack(y, n, a):
-            """The n lowest slots of y, times a, reduced mod p."""
             return [v * a % p for v in memoryview(y.to_bytes(n * size, "little")).cast(code)]
 
     else:
@@ -200,6 +191,30 @@ def _packed_echelon(p: int, rows: list[list[int]], ncols: int, reduce: bool) -> 
             words = memoryview(y.to_bytes(16 * n, "little")).cast(code)
             return [(lo | hi << 64) * a % p for lo, hi in zip(words[::2], words[1::2])]
 
+    return 8 * size, pack, unpack
+
+
+def _packed_echelon(p: int, rows: list[list[int]], ncols: int, reduce: bool) -> list[int]:
+    """Row echelon form over GF(p) on packed rows, in place; returns the
+    pivot columns.  With ``reduce`` the form is fully reduced.
+
+    One row update ``y += g * x`` is a couple of big-integer operations
+    instead of a loop over the entries.  Entries are left unreduced between
+    pivots: a pivot row is unpacked, reduced, made monic and repacked before
+    it is used, and every other update adds a multiple ``g = p - f`` of it,
+    where ``f`` is the entry to clear mod p.  A slot starts below p and
+    takes at most one update of at most (p - 1)^2 per pivot, so slots sized
+    for p + (nrows + 1) p^2 never carry.  The rows come back as the codes,
+    pivots and row order of the per-entry elimination.
+
+    The forward sweep keeps the rows still to be eliminated shifted so that
+    the current column sits in their lowest slot: reading it is a mask, and
+    one shift per column drops it.  Back-substitution works on whole rows.
+    """
+    from_bytes = int.from_bytes
+    nrows = len(rows)
+    w, pack, unpack = _slot_layout(p, p + (nrows + 1) * p * p, ncols)
+    mask = (1 << w) - 1
     live = [from_bytes(pack(*row), "little") for row in rows]
     out = []
     pivots = []
@@ -245,6 +260,87 @@ def _packed_echelon(p: int, rows: list[list[int]], ncols: int, reduce: bool) -> 
         out[0] = [0] * c + unpack(full[0] >> c * w, ncols - c, 1)
     rows[:] = out + [[0] * ncols for _ in range(nrows - r)]
     return pivots
+
+
+def _packed_matmul(p: int, a_rows, b_rows, ncols: int) -> list[list[int]]:
+    """The product of code matrices A and B over GF(p), given the rows of
+    A and the ``ncols``-wide rows of B.
+
+    Each row of B is packed once, with slots sized for t (p - 1)^2, where t
+    is the inner dimension, so an output row, the sum of ``a[t] * B[t]``,
+    is one sum of big-integer products that no slot carries out of; it is
+    then unpacked and reduced mod p.
+    """
+    b_rows = list(b_rows)
+    _, pack, unpack = _slot_layout(p, len(b_rows) * (p - 1) ** 2, ncols)
+    packed = [int.from_bytes(pack(*row), "little") for row in b_rows]
+    return [unpack(sum(map(_int_mul, a, packed)), ncols, 1) for a in a_rows]
+
+
+def _xor_echelon(tables, inv, rows: list[list[int]], ncols: int, reduce: bool) -> list[int]:
+    """:func:`_packed_echelon` over GF(2^e), e <= 8, on rows of one byte per
+    entry; ``tables[a]`` multiplies every byte of a row by a.
+
+    Sums are XOR, so entries stay reduced: a pivot row is made monic by one
+    translation, and clearing entry f of another row XORs in f times the
+    pivot row.
+    """
+    from_bytes = int.from_bytes
+    nrows = len(rows)
+    live = [from_bytes(bytes(row), "little") for row in rows]
+    out = []
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            f = live[i] & 255
+            if f:
+                break
+        else:
+            for i in range(r, nrows):
+                live[i] >>= 8
+            continue
+        y = live[i]
+        live[i] = live[r]
+        tail = y.to_bytes(ncols - c, "little").translate(tables[inv(f)])
+        out.append(bytes(c) + tail)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+        tail = tail[1:]
+        for i in range(r, nrows):
+            y = live[i]
+            f = y & 255
+            live[i] = (y >> 8) ^ from_bytes(tail.translate(tables[f]), "little") if f else y >> 8
+    if reduce and r > 1:
+        full = [from_bytes(row, "little") for row in out]
+        for j in range(r - 1, 0, -1):
+            shift = 8 * pivots[j]
+            # cleared of the later pivots already: its final value
+            x = out[j] = full[j].to_bytes(ncols, "little")
+            for i in range(j):
+                f = full[i] >> shift & 255
+                if f:
+                    full[i] ^= from_bytes(x.translate(tables[f]), "little")
+        out[0] = full[0].to_bytes(ncols, "little")
+    rows[:] = [list(row) for row in out] + [[0] * ncols for _ in range(nrows - r)]
+    return pivots
+
+
+def _xor_matmul(tables, a_rows, b_rows, ncols: int) -> list[list[int]]:
+    """:func:`_packed_matmul` over GF(2^e), e <= 8: an output row is the XOR
+    of the rows of B, each translated by its entry of the row of A."""
+    from_bytes = int.from_bytes
+    packed = [bytes(row) for row in b_rows]
+    out = []
+    for a in a_rows:
+        acc = 0
+        for x, row in zip(a, packed):
+            if x:
+                acc ^= from_bytes(row.translate(tables[x]), "little")
+        out.append(list(acc.to_bytes(ncols, "little")))
+    return out
 
 
 class FieldElement:
@@ -396,6 +492,7 @@ class Field:
         "sub_mul",
         "scale",
         "packed_echelon",
+        "packed_matmul",
     )
 
     def __new__(cls, p: int, e: int = 1, modulus: Sequence[int] | None = None):
@@ -441,7 +538,7 @@ class Field:
             self._elems = None
             self._get = partial(FieldElement, self)
         (self.add, self.mul, self.neg, self.inv, self.dot, self.sub_mul, self.scale,
-         self.packed_echelon) = self._make_primitives()
+         self.packed_echelon, self.packed_matmul) = self._make_primitives()
 
     # -- raw arithmetic on integer codes -----------------------------------
 
@@ -548,17 +645,30 @@ class Field:
         - ``scale(x, a, lo)``: ``x[j] *= a`` for every ``j >= lo``, in place;
         - ``packed_echelon(rows, ncols, reduce)``: the row echelon form of
           code rows in place, fully reduced if ``reduce``, with the pivot
-          columns returned; or ``None``.
+          columns returned; or ``None``;
+        - ``packed_matmul(a_rows, b_rows, ncols)``: the product of the code
+          matrix with rows ``a_rows`` and the one with ``ncols``-wide rows
+          ``b_rows``, as new rows; or ``None``.
 
         Prime fields compute with inline ``% p``; extension fields of order
         up to 256 look codes up in the flat integer tables of
         :meth:`_build_tables`, and larger ones fall back to coefficient-vector
         arithmetic.  ``sub_mul`` skips zero entries of ``x``, so sparse rows
-        cost less.  Elimination over these primitives goes one entry at a
-        time; prime fields also offer ``packed_echelon`` (see
-        :func:`_packed_echelon`), where a whole row update is one
-        big-integer multiply-add, and linalg takes it for wide matrices.
-        Extension fields, whose sums are no integer sums, have none.
+        cost less.  Elimination and products over these primitives go one
+        entry at a time.  The two packed primitives hold each row as one
+        integer, so that a whole row update is one integer operation, and
+        linalg takes them for wide matrices:
+
+        - prime fields pack codes into slots wide enough for the integer
+          sums a kernel forms (:func:`_packed_echelon`,
+          :func:`_packed_matmul`), where the host's native items allow it;
+        - tabled fields of characteristic 2, GF(2^e) with e <= 8, pack one
+          byte per code; a sum is XOR, and a row times a constant is one
+          ``bytes.translate`` through one of q tables (:func:`_xor_echelon`,
+          :func:`_xor_matmul`).
+
+        Other extension fields have neither: their sums are digit-wise
+        mod p, which neither an integer sum nor XOR computes.
         """
         if self.extension_degree == 1:
             p = self.p
@@ -588,8 +698,10 @@ class Field:
                     if x[j]:
                         x[j] = a * x[j] % p
 
-            packed = partial(_packed_echelon, p) if _PACKED_ROWS else None
-            return add, mul, neg, inv, dot, sub_mul, scale, packed
+            packed = (None, None)
+            if _PACKED_ROWS:
+                packed = (partial(_packed_echelon, p), partial(_packed_matmul, p))
+            return add, mul, neg, inv, dot, sub_mul, scale, *packed
         if self.order <= _TABLE_MAX_ORDER:
             q = self.order
             add_v, mul_v, neg_v, inv_v = self._build_tables()
@@ -617,7 +729,13 @@ class Field:
                 for j in range(lo, len(x)):
                     x[j] = mul_v[row + x[j]]
 
-            return add, mul, neg_v.__getitem__, inv_v.__getitem__, dot, sub_mul, scale, None
+            inv = inv_v.__getitem__
+            packed = (None, None)
+            if self.p == 2:
+                # a row times a is bytes.translate through tables[a]
+                tables = [bytes(mul_v[a * q : a * q + q]) + bytes(256 - q) for a in range(q)]
+                packed = (partial(_xor_echelon, tables, inv), partial(_xor_matmul, tables))
+            return add, mul, neg_v.__getitem__, inv, dot, sub_mul, scale, *packed
         add, mul, neg = self._add_val, self._mul_val, self._neg_val
 
         def dot(x, y):
@@ -638,7 +756,7 @@ class Field:
                 if x[j]:
                     x[j] = mul(a, x[j])
 
-        return add, mul, neg, self._inv_val, dot, sub_mul, scale, None
+        return add, mul, neg, self._inv_val, dot, sub_mul, scale, None, None
 
     # -- element construction ----------------------------------------------
 

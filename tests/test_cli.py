@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cartcodes
 from cartcodes.cli import main, parse_field, parse_range, UsageError
 
 
@@ -234,6 +239,26 @@ def test_extension_field_cli(capsys):
     payload = json.loads(out)
     assert payload["n"] == 4 and payload["dim"] == 2
     assert payload["field"] == {"p": 2, "e": 2, "modulus": [1, 1, 1]}
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # about 250 KB of records, more than a pipe holds, so the command is
+    # still writing when the reader closes its end after two lines
+    argv = ["search", "--field", "7", "--m", "2", "--sizes", "2:3", "--k-range", "1:4",
+            "--budget", "2000"]
+    src = str(Path(cartcodes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cartcodes.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    lines = [json.loads(proc.stdout.readline()) for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert [record["k"] for record in lines] == [1, 2]
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_byte_identical_json(capsys):

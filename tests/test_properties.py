@@ -39,9 +39,12 @@ from cartcodes import (
 from cartcodes.lcd import LCD, PointSetData
 from cartcodes.linalg import (
     _PACKED_MIN_COLS,
+    _PACKED_MIN_WIDTH,
     _echelon_entries,
     _echelon_vals,
+    _gram_vals,
     _intersection_vals,
+    _matmul_vals,
     _nullspace_vals,
     _rref_entries,
     _rref_vals,
@@ -60,6 +63,8 @@ LINALG_FIELDS = SMALL_FIELDS + EXTENSION_FIELDS + UNTABLED_FIELDS
 # the prime fields above, which eliminate packed rows from _PACKED_MIN_COLS
 # columns on, and the largest characteristic, whose slots are two words
 PACKED_FIELDS = [f for f in LINALG_FIELDS if f.extension_degree == 1] + [GF(2**31 - 1)]
+# the tabled fields of characteristic 2, which pack one byte per entry
+CHAR2_FIELDS = [GF(2, 2), GF(2, 3), GF(2, 4), GF(2, 8)]
 # tabled and untabled, prime and extension
 REFERENCE_FIELDS = [GF(7), GF(3, 2)] + UNTABLED_FIELDS
 
@@ -502,15 +507,16 @@ def backward_worst_case(p, nrows, ncols):
     ] + [[0] * ncols for _ in range(nrows - r)]
 
 
-def random_code_rows(rng, p, nrows, ncols):
-    """Dense, sparse, rank-deficient, with zero rows, all p - 1, or a
-    worst case for the slot width, as integer codes."""
+def random_code_rows(rng, field, nrows, ncols):
+    """Dense, sparse, rank-deficient, with zero rows, all q - 1, or (over a
+    prime field) a worst case for the slot width, as integer codes."""
+    q, add, mul = field.order, field.add, field.mul
     kind = rng.randrange(6)
     if kind == 4:
-        return forward_worst_case(p, nrows, ncols)
+        return forward_worst_case(q, nrows, ncols)
     if kind == 5:
-        return backward_worst_case(p, nrows, ncols)
-    rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+        return backward_worst_case(q, nrows, ncols)
+    rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
     if kind == 1:
         rows = [[x if rng.random() < 0.2 else 0 for x in row] for row in rows]
     elif kind == 2:
@@ -518,10 +524,10 @@ def random_code_rows(rng, p, nrows, ncols):
             if rng.random() < 0.5 or i < 2:
                 rows[i] = [0] * ncols
             else:
-                a, b = rng.randrange(p), rng.randrange(p)
-                rows[i] = [(a * x + b * y) % p for x, y in zip(rows[0], rows[1])]
+                a, b = rng.randrange(q), rng.randrange(q)
+                rows[i] = [add(mul(a, x), mul(b, y)) for x, y in zip(rows[0], rows[1])]
     elif kind == 3:
-        rows = [[p - 1] * ncols for _ in range(nrows)]
+        rows = [[q - 1] * ncols for _ in range(nrows)]
     return rows
 
 
@@ -532,16 +538,23 @@ def assert_packed_matches_per_entry(field, rows, ncols):
         assert got == want
 
 
-def test_packed_elimination_matches_per_entry():
-    rng = random.Random(0x9AC4)
+def check_packed_elimination(rng, fields):
     sides = [0, 0]
     for _ in range(CASES):
-        field = rng.choice(PACKED_FIELDS)
+        field = rng.choice(fields)
         ncols = rng.randrange(_PACKED_MIN_COLS - 12, _PACKED_MIN_COLS + 25)
-        rows = random_code_rows(rng, field.p, rng.randrange(0, 21), ncols)
+        rows = random_code_rows(rng, field, rng.randrange(0, 21), ncols)
         assert_packed_matches_per_entry(field, rows, ncols)
         sides[ncols >= _PACKED_MIN_COLS] += 1
     assert min(sides) >= CASES // 4
+
+
+def test_packed_elimination_matches_per_entry():
+    check_packed_elimination(random.Random(0x9AC4), PACKED_FIELDS)
+
+
+def test_char2_packed_elimination_matches_per_entry():
+    check_packed_elimination(random.Random(0xC4A2), CHAR2_FIELDS)
 
 
 def test_packed_worst_case_slots_match_per_entry():
@@ -568,16 +581,14 @@ def nullspace_reference(rows, ncols):
     return basis
 
 
-def test_packed_nullspace_and_intersection_match_references():
-    rng = random.Random(0x2B17)
+def check_packed_nullspace_and_intersection(rng, fields):
     sides = [0, 0]
     meets = 0
     for case in range(CASES):
-        field = rng.choice(PACKED_FIELDS)
-        p = field.p
+        field = rng.choice(fields)
         if case % 2:
             ncols = rng.randrange(_PACKED_MIN_COLS - 8, _PACKED_MIN_COLS + 13)
-            vals = random_code_rows(rng, p, rng.randrange(0, 11), ncols)
+            vals = random_code_rows(rng, field, rng.randrange(0, 11), ncols)
             m = Matrix.from_ints(field, vals, ncols)
             assert _nullspace_vals(field, [list(row) for row in vals], ncols) == (
                 nullspace_reference(m.rows, ncols)
@@ -585,12 +596,12 @@ def test_packed_nullspace_and_intersection_match_references():
         else:
             # the Zassenhaus matrix is 2 * ncols wide
             ncols = rng.randrange(_PACKED_MIN_COLS // 2 - 4, _PACKED_MIN_COLS // 2 + 9)
-            u_vals = random_code_rows(rng, p, rng.randrange(0, 9), ncols)
+            u_vals = random_code_rows(rng, field, rng.randrange(0, 9), ncols)
             u = Matrix.from_ints(field, u_vals, ncols)
             if rng.random() < 0.5:
                 w = u.nullspace()  # the dual, as the LCD oracle pairs them
             else:
-                w_vals = random_code_rows(rng, p, rng.randrange(0, 9), ncols)
+                w_vals = random_code_rows(rng, field, rng.randrange(0, 9), ncols)
                 # plant a shared row half the time
                 if u_vals and w_vals and rng.random() < 0.5:
                     w_vals[0] = list(u_vals[-1])
@@ -604,6 +615,38 @@ def test_packed_nullspace_and_intersection_match_references():
             ncols *= 2
         sides[ncols >= _PACKED_MIN_COLS] += 1
     assert min(sides) >= CASES // 4 and meets >= 50
+
+
+def test_packed_nullspace_and_intersection_match_references():
+    check_packed_nullspace_and_intersection(random.Random(0x2B17), PACKED_FIELDS)
+
+
+def test_char2_nullspace_and_intersection_match_references():
+    check_packed_nullspace_and_intersection(random.Random(0xC2B5), CHAR2_FIELDS)
+
+
+def test_packed_products_match_dot_reference():
+    rng = random.Random(0x6A4A)
+    sides = [0, 0]
+    for case in range(CASES):
+        field = rng.choice(PACKED_FIELDS + CHAR2_FIELDS)
+        dot = field.dot
+        width = rng.randrange(1, 2 * _PACKED_MIN_WIDTH + 9)
+        inner = rng.randrange(0, 129)
+        a_rows = random_code_rows(rng, field, rng.randrange(0, 13), inner)
+        if case % 2:
+            b_cols = random_code_rows(rng, field, width, inner)
+            want = [[dot(row, col) for col in b_cols] for row in a_rows]
+            assert _matmul_vals(field, a_rows, b_cols) == want
+            a = Matrix._from_vals(field, a_rows, inner)
+            b = Matrix._from_vals(field, zip(*b_cols), width)
+            assert (a @ b).vals == tuple(map(tuple, want))
+        else:
+            # the Gram matrix of a width x inner generator
+            rows = random_code_rows(rng, field, width, inner)
+            assert _gram_vals(field, rows) == [[dot(r1, r2) for r2 in rows] for r1 in rows]
+        sides[width >= _PACKED_MIN_WIDTH] += 1
+    assert min(sides) >= CASES // 4
 
 
 # ---- code constructions ------------------------------------------------------
@@ -624,6 +667,22 @@ def test_generator_rank_equals_dimension_formula():
         spec = random_spec(rng, field)
         code = generator_matrix(spec)
         assert code.generator.rank() == dimension_formula(spec) == code.dimension
+
+
+def test_generator_rows_match_monomial_evaluation():
+    rng = random.Random(0x6E4B)
+    for _ in range(CASES):
+        field = rng.choice(LINALG_FIELDS)
+        spec = random_spec(rng, field, max_m=3, max_size=3)
+        want = []
+        for exps in monomial_basis(spec.cset, spec.k):
+            row = []
+            for v, point in zip(spec.scalars, spec.cset.points):
+                for a, e in zip(point, exps):
+                    v = v * a**e
+                row.append(v)
+            want.append(tuple(row))
+        assert generator_matrix(spec).generator.rows == tuple(want)
 
 
 def test_dual_is_verified_completely():
