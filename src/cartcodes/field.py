@@ -12,10 +12,15 @@ This is the only module that knows how a field does its arithmetic.  Each
 :meth:`Field._make_primitives`): prime fields compute inline mod p, small
 extension fields look codes up in flat integer tables, larger ones work on
 coefficient vectors.  :class:`FieldElement` operations and the elimination
-and polynomial kernels elsewhere all run on those primitives; prime fields
-and the tabled fields of characteristic 2 also eliminate and multiply wide
-matrices on packed rows, one big integer per row.  For orders up to 256 the
-q elements are interned, so element arithmetic allocates nothing.
+and polynomial kernels all run on those primitives; prime fields and the
+tabled fields of characteristic 2 also eliminate and multiply wide matrices
+on packed rows, one big integer per row.  For orders up to 256 the q
+elements are interned, so element arithmetic allocates nothing.
+
+The polynomial kernels on code lists live here too: unipoly.py builds
+``Poly`` on them, and field construction runs on them over GF(p), for
+products of coefficient vectors and for the irreducibility test of a
+modulus.  Construction is bounded and refuses what it would not finish.
 """
 
 from __future__ import annotations
@@ -33,6 +38,14 @@ from .errors import FieldMismatchError
 _TABLE_MAX_ORDER = 256
 
 _MAX_CHARACTERISTIC = 1 << 31
+
+# Testing a modulus costs about e^3 log p prime-field operations, as does an
+# inverse, so the order is capped (above GF(2^128) and GF(3^81)).  Ruling
+# out roots costs about 2 log2 p products, so the default-modulus search
+# stops after _SEARCH_BITS // p.bit_length() candidates: it could need
+# about p of them, as every X^4 + c is reducible when p = 3 mod 4.
+_MAX_ORDER_BITS = 130
+_SEARCH_BITS = 1 << 14
 
 # Packed rows are written through struct's little-endian items and read
 # through memoryview casts to the native items of the same codes, so hosts
@@ -58,11 +71,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# --- GF(p)[X] helpers on little-endian int coefficient lists -------------
+# --- polynomial kernels on lists of integer codes --------------------------
 #
-# These exist to validate / search for the extension modulus (``_trim`` also
-# normalizes the code lists of unipoly.py, where all user-facing
-# polynomial arithmetic lives).
+# Little-endian lists of element codes, on the primitives of a Field: the
+# one product and division arithmetic of the library, for every ``Poly``
+# and, over GF(p), for field construction.
 
 
 def _trim(c: list[int]) -> list[int]:
@@ -71,89 +84,99 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_rem(prod, mod, p)
+def _divmod_vals(field: "Field", a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Long division on normalized code lists: a = q * b + r, deg r < deg b.
 
-
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _trim(list(a))
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        factor = (a[-1] * inv_lead) % p
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bi) % p
-        _trim(a)
-    return a
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
-def _poly_pow_x_mod(exp: int, mod: list[int], p: int) -> list[int]:
-    """X^exp reduced modulo ``mod`` over GF(p)."""
-    result = [1]
-    base = _poly_rem([0, 1], mod, p)
-    while exp:
-        if exp & 1:
-            result = _poly_mul_mod(result, base, mod, p)
-        base = _poly_mul_mod(base, base, mod, p)
-        exp >>= 1
-    return result
-
-
-def _is_irreducible(mod: list[int], p: int) -> bool:
-    """Irreducibility over GF(p) of a monic polynomial, degree >= 1.
-
-    Degrees 2 and 3 reduce to a root check; higher degrees use the
-    factorization-free test gcd(f, X^(p^i) - X) = const for i <= deg/2.
+    ``b`` must be nonzero.  Both results come back normalized.
     """
-    e = len(mod) - 1
-    if e == 1:
-        return True
-    if e <= 3:
-        return all(_poly_eval_int(mod, x, p) != 0 for x in range(p))
-    for i in range(1, e // 2 + 1):
-        xq = _poly_pow_x_mod(p**i, mod, p)
-        diff = list(xq)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        if len(_poly_gcd(mod, _trim(diff), p)) - 1 > 0:
+    db = len(b) - 1
+    rem = list(a)
+    if len(rem) - 1 < db:
+        return [], rem
+    low = b[:db]
+    mul, sub_mul = field.mul, field.sub_mul
+    inv_lead = field.inv(b[-1])
+    quot = [0] * (len(rem) - db)
+    while len(rem) > db:
+        factor = mul(rem.pop(), inv_lead)
+        if factor:
+            shift = len(rem) - db
+            quot[shift] = factor
+            sub_mul(rem, factor, low, shift)
+    return quot, _trim(rem)
+
+
+def _div_linear_vals(field: "Field", a: list[int], r: int) -> list[int]:
+    """The quotient of a normalized code list by X - r, by synthetic
+    division: one ``mul`` and one ``add`` per coefficient.  The remainder,
+    a(r), is dropped, so for a root r the quotient is exact."""
+    add, mul = field.add, field.mul
+    quot = [0] * (len(a) - 1)
+    acc = 0
+    for i in range(len(a) - 1, 0, -1):
+        quot[i - 1] = acc = add(a[i], mul(acc, r))
+    return quot
+
+
+def _sub_mul_vals(field: "Field", y: list[int], q: list[int], x: list[int]) -> list[int]:
+    """y - q * x on code lists, normalized."""
+    out = list(y)
+    if q and x:
+        out.extend([0] * (len(q) + len(x) - 1 - len(out)))
+        sub_mul = field.sub_mul
+        for i, c in enumerate(q):
+            if c:
+                sub_mul(out, c, x, i)
+    return _trim(out)
+
+
+def _mul_mod_vals(field: "Field", a: list[int], b: list[int], mod: list[int]) -> list[int]:
+    """a * b mod ``mod`` on code lists: a kernel product, then a kernel
+    remainder."""
+    neg = field.neg
+    return _divmod_vals(field, _sub_mul_vals(field, [], [neg(c) for c in a], b), mod)[1]
+
+
+def _is_irreducible(mod: Sequence[int], field: "Field") -> bool:
+    """Irreducibility over the prime field GF(p) of a monic polynomial of
+    degree e >= 1, given by its codes.
+
+    Ben-Or's test: f is irreducible exactly when gcd(f, X^(p^i) - X) = 1
+    for every i <= e/2, since a reducible f has an irreducible factor of
+    some degree i <= e/2, and those divide X^(p^i) - X.  Each X^(p^i) mod f
+    is the p-th power of the previous one (iterated Frobenius); the round
+    i = 1 is the check for roots.
+    """
+    h = [0, 1]
+    for _ in range((len(mod) - 1) // 2):
+        frob = h  # h^p mod f, by square-and-multiply over the bits of p
+        for bit in bin(field.p)[3:]:
+            frob = _mul_mod_vals(field, frob, frob, mod)
+            if bit == "1":
+                frob = _mul_mod_vals(field, frob, h, mod)
+        h = frob
+        a, b = mod, _sub_mul_vals(field, h, [1], [0, 1])
+        while b:
+            a, b = b, _divmod_vals(field, a, b)[1]
+        if len(a) > 1:
             return False
     return True
 
 
-def _poly_eval_int(c: list[int], x: int, p: int) -> int:
-    acc = 0
-    for ci in reversed(c):
-        acc = (acc * x + ci) % p
-    return acc
-
-
-def _find_modulus(p: int, e: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree e, by integer encoding of the
-    lower coefficients."""
-    for code in range(p**e):
-        low = []
-        c = code
-        for _ in range(e):
-            low.append(c % p)
-            c //= p
-        mod = low + [1]
-        if _is_irreducible(mod, p):
+def _find_modulus(field: "Field", e: int) -> tuple[int, ...]:
+    """Smallest monic irreducible of degree e over the prime field GF(p), by
+    integer encoding of the lower coefficients, among the first
+    ``_SEARCH_BITS // p.bit_length()``."""
+    p = field.p
+    candidates = _SEARCH_BITS // p.bit_length()
+    for code in range(candidates):
+        mod = [code // p**i % p for i in range(e)] + [1]
+        if _is_irreducible(mod, field):
             return tuple(mod)
-    raise AssertionError(f"no irreducible polynomial of degree {e} over GF({p})")
+    raise ValueError(
+        f"no irreducible polynomial of degree {e} over GF({p}) among the first "
+        f"{candidates} candidates; pass an explicit modulus"
+    )
 
 
 # --- packed rows ----------------------------------------------------------
@@ -482,6 +505,7 @@ class Field:
         "extension_degree",
         "order",
         "modulus",
+        "_base",
         "_elems",
         "_get",
         "add",
@@ -504,18 +528,21 @@ class Field:
             raise ValueError(f"extension degree must be a positive integer, got {e!r}")
         if e == 1 and modulus is not None:
             raise ValueError("prime fields take no modulus")
+        if e > _MAX_ORDER_BITS or p**e > 1 << _MAX_ORDER_BITS:
+            raise ValueError(f"field order {p}^{e} above supported range 2^{_MAX_ORDER_BITS}")
         key = (p, e, None if modulus is None else tuple(int(c) % p for c in modulus))
         field = _FIELDS.get(key)
         if field is None:
             mod = key[2]
             if e > 1:
+                base = Field(p)
                 if mod is None:
-                    mod = _find_modulus(p, e)
+                    mod = _find_modulus(base, e)
                 elif len(mod) != e + 1:
                     raise ValueError(f"modulus must have degree {e}, got degree {len(mod) - 1}")
                 elif mod[-1] != 1:
                     raise ValueError("modulus must be monic")
-                elif not _is_irreducible(list(mod), p):
+                elif not _is_irreducible(mod, base):
                     raise ValueError(f"modulus {mod} is reducible over GF({p})")
             field = _FIELDS.get((p, e, mod))
             if field is None:
@@ -531,6 +558,8 @@ class Field:
         # Python calls this after every __new__; an interned field is kept.
         if hasattr(self, "add"):
             return
+        # the prime field, whose primitives the coefficient vectors use
+        self._base = self if self.extension_degree == 1 else Field(self.p)
         if self.order <= _TABLE_MAX_ORDER:
             self._elems = [FieldElement(self, v) for v in range(self.order)]
             self._get = self._elems.__getitem__
@@ -569,11 +598,9 @@ class Field:
         return self._pack((-c) % self.p for c in self._coeff_vector(a))
 
     def _mul_val(self, a: int, b: int) -> int:
-        ca = list(self._coeff_vector(a))
-        cb = list(self._coeff_vector(b))
-        prod = _poly_mul_mod(ca, cb, list(self.modulus), self.p)
-        prod += [0] * (self.extension_degree - len(prod))
-        return self._pack(prod)
+        return self._pack(_mul_mod_vals(
+            self._base, self._coeff_vector(a), self._coeff_vector(b), self.modulus
+        ))
 
     def _inv_val(self, a: int) -> int:
         # a^(q-2) by square-and-multiply over _mul_val

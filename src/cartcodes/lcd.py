@@ -35,7 +35,7 @@ from .codes import (
     min_distance_formula,
 )
 from .errors import InconsistencyError
-from .field import Field, FieldElement, _trim
+from .field import Field, FieldElement, _div_linear_vals, _trim
 from .linalg import (
     Matrix,
     _echelon_vals,
@@ -47,7 +47,6 @@ from .multipoly import CartesianSet, MPoly, lagrange_point
 from .unipoly import (
     EeaResult,
     Poly,
-    _divmod_vals,
     _eea_vals,
     eea_sequence,
     vanishing_poly,
@@ -134,10 +133,8 @@ class PointSetData:
         self.points = tuple(points)
         self.L = L = vanishing_poly(self.points)
         self.field = field = L.field
-        neg = field.neg
         self.lagrange_terms = tuple(
-            Poly._from_vals(field, _divmod_vals(field, L.vals, (neg(a.val), 1))[0])
-            for a in self.points
+            Poly._from_vals(field, _div_linear_vals(field, L.vals, a.val)) for a in self.points
         )
 
     def associated_poly(self, scalars: Sequence[FieldElement]) -> Poly:

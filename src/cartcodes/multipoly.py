@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from .field import Field, FieldElement
+from .field import Field, FieldElement, _div_linear_vals
 from .unipoly import NEG_INF, Poly, formal_derivative, vanishing_poly
 
 
@@ -381,7 +381,8 @@ def lagrange_point(aset: CartesianSet, point: Sequence[FieldElement]) -> MPoly:
     field = aset.field
     result = MPoly.constant(field, aset.nvars, field.one)
     for i, (li, a) in enumerate(zip(aset.vanishing_generators(), point)):
-        factor = li // Poly(field, (-a, field.one))  # exact: L_i / (X - a)
+        # exact: L_i / (X - a)
+        factor = Poly._from_vals(field, _div_linear_vals(field, li.vals, a.val))
         result = result * MPoly.lift(factor, aset.nvars, i)
     return result
 

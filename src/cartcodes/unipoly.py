@@ -5,13 +5,14 @@ vanishing polynomials of point sets, single-point Lagrange factors, formal
 derivatives, interpolation, and the extended Euclidean remainder sequence
 with full Bezout bookkeeping.
 
-Long division and the Euclidean sequence each have one kernel on lists of
-integer element codes (:func:`_divmod_vals`, :func:`_eea_vals`), written on
-the primitives of :class:`~cartcodes.field.Field`.  A :class:`Poly` stores
-its coefficients as those codes, so its arithmetic and
-:func:`eea_sequence` hand them to the kernels as they are; field elements
-appear only where a polynomial is built from them or read out.  Callers
-that need only remainder degrees run the kernel directly.
+Products, long division, division by X - a and the Euclidean sequence
+each have one kernel on lists of integer element codes, written on the
+primitives of :class:`~cartcodes.field.Field`.  The first three live in
+field.py, as field construction runs on them too; :func:`_eea_vals` lives
+here.  A :class:`Poly` stores its coefficients as those codes, so its
+arithmetic and :func:`eea_sequence` hand them to the kernels as they are;
+field elements appear only where a polynomial is built from them or read
+out.  Callers that need only remainder degrees run the kernel directly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, InconsistencyError, NotCoprimeError
-from .field import Field, FieldElement, _trim
+from .field import Field, FieldElement, _div_linear_vals, _divmod_vals, _sub_mul_vals, _trim
 
 # degree(0); compares below every integer and survives max()/comparisons,
 # unlike a -1 sentinel that could leak into arithmetic.
@@ -222,40 +223,6 @@ class Poly:
         return [c.to_json() for c in self.coeffs]
 
 
-def _divmod_vals(field: Field, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Long division on normalized code lists: a = q * b + r, deg r < deg b.
-
-    ``b`` must be nonzero.  Both results come back normalized.
-    """
-    db = len(b) - 1
-    rem = list(a)
-    if len(rem) - 1 < db:
-        return [], rem
-    low = b[:db]
-    mul, sub_mul = field.mul, field.sub_mul
-    inv_lead = field.inv(b[-1])
-    quot = [0] * (len(rem) - db)
-    while len(rem) > db:
-        factor = mul(rem.pop(), inv_lead)
-        if factor:
-            shift = len(rem) - db
-            quot[shift] = factor
-            sub_mul(rem, factor, low, shift)
-    return quot, _trim(rem)
-
-
-def _sub_mul_vals(field: Field, y: list[int], q: list[int], x: list[int]) -> list[int]:
-    """y - q * x on normalized code lists, normalized."""
-    out = list(y)
-    if q and x:
-        out.extend([0] * (len(q) + len(x) - 1 - len(out)))
-        sub_mul = field.sub_mul
-        for i, c in enumerate(q):
-            if c:
-                sub_mul(out, c, x, i)
-    return _trim(out)
-
-
 # -- point-set constructions --------------------------------------------------
 
 
@@ -311,7 +278,7 @@ def interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Poly:
         if y.val == 0:
             continue
         # the Lagrange factor as the exact quotient L / (X - x): O(n) each
-        term = L // Poly(field, (-x, field.one))
+        term = Poly._from_vals(field, _div_linear_vals(field, L.vals, x.val))
         result = result + term.scale(y * term(x).inverse())
     return result
 

@@ -208,6 +208,9 @@ def test_usage_errors_exit_two(capsys):
         ("search", "--field", "7", "--sizes", "3", "--k-range", "1:2", "--budget", "-1"),
         ("masking", "--field", "13", "--set", "0,1,2,3,4,5,6,7", "--k", "2",
          "--exhaustive"),
+        ("lcd", "--field", "2^256", "--set", "0,1,2", "--k", "2"),
+        ("params", "--field", "2147483647^4", "--set", "0,1", "--k", "1"),
+        ("params", "--field", "2147483647^16", "--set", "0,1", "--k", "1"),
     ]
     named = {
         cases[7]: "--scalars",
@@ -219,6 +222,9 @@ def test_usage_errors_exit_two(capsys):
         cases[13]: "--trials",
         cases[14]: "--budget",
         cases[15]: "--exhaustive",
+        cases[16]: "--field",
+        cases[17]: "--field",
+        cases[18]: "--field",
     }
     for argv in cases:
         start = time.perf_counter()

@@ -1,7 +1,10 @@
+import random
+import time
+
 import pytest
 
 from cartcodes import GF, Field, FieldMismatchError
-from cartcodes.field import is_prime
+from cartcodes.field import _find_modulus, _is_irreducible, is_prime
 
 
 F7 = GF(7)
@@ -112,6 +115,61 @@ def test_modulus_validation():
         GF(7, modulus=[1, 1])  # prime field takes none
 
 
+# The smallest monic irreducible of each degree, by integer code of the
+# lower coefficients: the default moduli, which element codes depend on.
+DEFAULT_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 14): (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 15): (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 17): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 18): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 19): (1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 20): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (3, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 11): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 12): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1),
+    (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (7, 5): (3, 1, 0, 0, 0, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (4, 1, 0, 1),
+    (11, 4): (2, 1, 0, 0, 1),
+    (13, 2): (2, 0, 1),
+    (13, 3): (2, 0, 0, 1),
+    (101, 2): (2, 0, 1),
+    (101, 3): (1, 1, 0, 1),
+    (1009, 2): (11, 0, 1),
+    (1009, 3): (2, 0, 0, 1),
+}
+
+
 def test_default_modulus_search():
     assert GF(2, 2).modulus == (1, 1, 1)
     assert GF(2, 3).modulus == (1, 1, 0, 1)
@@ -120,6 +178,67 @@ def test_default_modulus_search():
     assert f64.order == 64
     x = f64.element(2)
     assert x ** 63 == f64.one
+    for (p, e), modulus in DEFAULT_MODULI.items():
+        assert GF(p, e).modulus == modulus, (p, e)
+
+
+def _monic_polys(p, degree):
+    for code in range(p**degree):
+        yield [code // p**i % p for i in range(degree)] + [1]
+
+
+def _divides(g, f, p):
+    """Whether the monic g divides f over GF(p), by schoolbook division."""
+    f = list(f)
+    for shift in range(len(f) - len(g), -1, -1):
+        c = f[shift + len(g) - 1]
+        for i, gi in enumerate(g):
+            f[shift + i] = (f[shift + i] - c * gi) % p
+    return not any(f)
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 6), (5, 6), (7, 3), (11, 3)])
+def test_irreducibility_matches_trial_division(p, top):
+    # every monic polynomial of degree 1..top, against trial division by
+    # the monic irreducibles of at most half its degree
+    irreducibles = []
+    for degree in range(1, top + 1):
+        divisors = [g for g in irreducibles if 2 * (len(g) - 1) <= degree]
+        for f in _monic_polys(p, degree):
+            expected = not any(_divides(g, f, p) for g in divisors)
+            assert _is_irreducible(f, GF(p)) == expected, (p, f)
+            if expected:
+                irreducibles.append(f)
+
+
+@pytest.mark.parametrize("p, e", [(1000003, 2), (2**31 - 1, 2), (2**31 - 1, 3)])
+def test_large_characteristic_extension_fields(p, e):
+    start = time.perf_counter()
+    modulus = _find_modulus(GF(p), e)  # the search a first GF(p, e) runs
+    field = GF(p, e)
+    assert time.perf_counter() - start < 1.0
+    assert field.modulus == modulus
+    rng = random.Random(e)
+    for _ in range(20):
+        a = field.from_int(rng.randrange(1, field.order))
+        assert a * a.inverse() == field.one
+        assert a ** (field.order - 1) == field.one
+
+
+def test_field_construction_is_bounded():
+    for p, e in [(2, 256), (2, 131), (2**31 - 1, 16), (2, 10**12)]:
+        with pytest.raises(ValueError, match="above supported range"):
+            GF(p, e)
+    # every X^4 + c is reducible, as p = 3 mod 4, so the search would walk p
+    # candidates; an explicit modulus is accepted
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="pass an explicit modulus"):
+        GF(2**31 - 1, 4)
+    assert time.perf_counter() - start < 1.0
+    quartic = GF(2**31 - 1, 4, modulus=[10, 1, 0, 0, 1])
+    assert quartic.element(5) * quartic.element(5).inverse() == quartic.one
+    assert GF(2, 128).modulus == (1, 1, 1, 0, 0, 0, 0, 1) + (0,) * 120 + (1,)
+    assert GF(3, 81).order == 3**81
 
 
 def test_element_construction_and_codes():
