@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
@@ -221,17 +221,13 @@ def dual_spec(spec: CartesianSpec) -> Optional[CartesianSpec]:
     if spec.trivial_range:
         return None
     k_dual = spec.degree_cap - spec.k + 1
-    deriv = spec.cset.derivative_values()
-    index_cache = [
-        {a.val: idx for idx, a in enumerate(comp)} for comp in spec.cset.components
-    ]
-    dual_scalars = []
-    for v, point in zip(spec.scalars, spec.cset.points):
-        lag = spec.field.one
-        for i, a in enumerate(point):
-            lag = lag * deriv[i][index_cache[i][a.val]]
-        dual_scalars.append((v * lag).inverse())
-    return CartesianSpec(spec.cset, tuple(dual_scalars), k_dual)
+    one = spec.field.one
+    # the derivative values in grid point order, as cset.points enumerates
+    lags = itertools.product(*spec.cset.derivative_values())
+    dual_scalars = tuple(
+        (v * prod(lag, start=one)).inverse() for v, lag in zip(spec.scalars, lags)
+    )
+    return CartesianSpec(spec.cset, dual_scalars, k_dual)
 
 
 def brute_force_min_distance(

@@ -520,6 +520,14 @@ class Field:
     )
 
     def __new__(cls, p: int, e: int = 1, modulus: Sequence[int] | None = None):
+        # Stored keys hold plain ints and passed validation when stored, so
+        # a hit on the arguments as given needs none; a miss is validated.
+        if type(p) is int and type(e) is int and (
+            modulus is None or type(modulus) is tuple and all(type(c) is int for c in modulus)
+        ):
+            field = _FIELDS.get((p, e, modulus))
+            if field is not None:
+                return field
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p!r}")
         if p > _MAX_CHARACTERISTIC:
@@ -603,14 +611,17 @@ class Field:
         ))
 
     def _inv_val(self, a: int) -> int:
-        # a^(q-2) by square-and-multiply over _mul_val
-        result, base, exp = 1, a, self.order - 2
-        while exp:
-            if exp & 1:
-                result = self._mul_val(result, base)
-            base = self._mul_val(base, base)
-            exp >>= 1
-        return result
+        # Extended Euclid of a's coefficient vector and the modulus over
+        # GF(p), keeping s with s * a = r mod the modulus; r ends a nonzero
+        # constant, since the modulus is irreducible.
+        base = self._base
+        r0, r1 = list(self.modulus), _trim(list(self._coeff_vector(a)))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            q, r = _divmod_vals(base, r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, _sub_mul_vals(base, s0, q, s1)
+        base.scale(s1, base.inv(r1[0]), 0)
+        return self._pack(s1)
 
     def _build_tables(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """Flat integer tables of an extension field: addition and

@@ -16,7 +16,10 @@ consecutive remainder degrees of the sequence g_0 = L, g_1 = H, ...,
 g_{t+1} = 1.  Since deg g_0 = n, the admissible values of n - k are exactly
 the degrees of g_1, ..., g_{t+1} — including the top gap between deg H and
 n, which matters whenever deg H < n - 1 (reachable: the coefficient of
-X^(n-1) in H is the sum of the squared scalars, which can vanish).
+X^(n-1) in H is the sum of the squared scalars, which can vanish).  The gap
+rule alone decides :meth:`UnivariateLcdAnalysis.is_lcd`; the agreement
+sweeps compare it with membership in the degree set, and both with brute
+force, on every instance.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
+from math import prod
 from typing import Iterator, Optional, Sequence
 
 from .codes import (
@@ -106,13 +110,7 @@ def cartesian_scalars(
             raise ValueError("component scalar vectors must be non-empty")
         if any(v.val == 0 for v in vec):
             raise ValueError("component scalars must be nonzero")
-    out = []
-    for combo in itertools.product(*vectors):
-        acc = combo[0]
-        for v in combo[1:]:
-            acc = acc * v
-        out.append(acc)
-    return tuple(out)
+    return tuple(prod(combo[1:], start=combo[0]) for combo in itertools.product(*vectors))
 
 
 # -- the univariate (generalized Reed-Solomon) criterion ------------------------
@@ -198,23 +196,18 @@ class UnivariateLcdAnalysis:
         return frozenset(self.remainder_degrees)
 
     def is_lcd(self, k: int) -> bool:
-        """Gap rule: LCD iff no row has deg g_i < n - k < deg g_{i-1}."""
+        """Gap rule: LCD iff no row has deg g_i < n - k < deg g_{i-1}.
+
+        On a correct remainder sequence this is membership of n - k in
+        :meth:`admissible_codimensions`; the agreement sweeps compare the
+        two rules on every instance."""
         if k < 1:
             raise ValueError("degree k must be positive")
         if k > self.n:
             return True  # full-space code; the dual is zero
         r = self.n - k
         degs = [self.n] + self.remainder_degrees
-        gap_verdict = all(
-            degs[i - 1] <= r or degs[i] >= r for i in range(1, len(degs))
-        )
-        member_verdict = r in self.admissible_codimensions()
-        if gap_verdict != member_verdict:
-            raise InconsistencyError(
-                f"gap rule and degree-set rule disagree at k={k}: "
-                f"{gap_verdict} vs {member_verdict} (degrees {self.remainder_degrees})"
-            )
-        return gap_verdict
+        return all(hi <= r or lo >= r for hi, lo in zip(degs, degs[1:]))
 
     def lcd_degrees(self) -> list[int]:
         """All k in 1..n giving an LCD code (k = n is the full space)."""

@@ -10,6 +10,7 @@ generators.
 from __future__ import annotations
 
 import itertools
+from math import prod
 from typing import Mapping, Sequence
 
 from .field import Field, FieldElement, _div_linear_vals
@@ -20,6 +21,19 @@ def grlex_key(exponents: tuple[int, ...]):
     """Sort key realizing graded-lex: ascending total degree, then ascending
     plain tuple order (which puts earlier variables in the senior position)."""
     return (sum(exponents), exponents)
+
+
+def _add_terms(out: dict, terms) -> dict:
+    """Add (exponents, coefficient) pairs into ``out`` in place, dropping
+    every coefficient that sums to zero."""
+    for exps, c in terms:
+        cur = out.get(exps)
+        s = c if cur is None else cur + c
+        if s.val == 0:
+            out.pop(exps, None)
+        else:
+            out[exps] = s
+    return out
 
 
 class MPoly:
@@ -54,6 +68,14 @@ class MPoly:
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _from_terms(cls, field: Field, nvars: int, terms: dict) -> "MPoly":
+        """Unchecked constructor: ``terms`` holds no zero coefficient and
+        only exponent vectors of arity ``nvars``; it is kept, not copied."""
+        result = cls.__new__(cls)
+        result.field, result.nvars, result.terms = field, nvars, terms
+        return result
 
     @classmethod
     def zero(cls, field: Field, nvars: int) -> "MPoly":
@@ -113,56 +135,35 @@ class MPoly:
     def __add__(self, other: "MPoly") -> "MPoly":
         if not isinstance(other, MPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            cur = out.get(exps)
-            s = c if cur is None else cur + c
-            if s.val == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        result = MPoly.__new__(MPoly)
-        result.field, result.nvars, result.terms = self.field, self.nvars, out
-        return result
+        out = _add_terms(dict(self.terms), other.terms.items())
+        return MPoly._from_terms(self.field, self.nvars, out)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __neg__(self) -> "MPoly":
-        result = MPoly.__new__(MPoly)
-        result.field, result.nvars = self.field, self.nvars
-        result.terms = {exps: -c for exps, c in self.terms.items()}
-        return result
+        terms = {exps: -c for exps, c in self.terms.items()}
+        return MPoly._from_terms(self.field, self.nvars, terms)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return self.scale(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        out: dict[tuple[int, ...], FieldElement] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                cur = out.get(exps)
-                s = prod if cur is None else cur + prod
-                if s.val == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
-        result = MPoly.__new__(MPoly)
-        result.field, result.nvars, result.terms = self.field, self.nvars, out
-        return result
+        out = _add_terms({}, (
+            (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+            for ea, ca in self.terms.items()
+            for eb, cb in other.terms.items()
+        ))
+        return MPoly._from_terms(self.field, self.nvars, out)
 
     __rmul__ = __mul__
 
     def scale(self, c: FieldElement) -> "MPoly":
         if c.val == 0:
             return MPoly.zero(self.field, self.nvars)
-        result = MPoly.__new__(MPoly)
-        result.field, result.nvars = self.field, self.nvars
-        result.terms = {exps: c * v for exps, v in self.terms.items()}
-        return result
+        terms = {exps: c * v for exps, v in self.terms.items()}
+        return MPoly._from_terms(self.field, self.nvars, terms)
 
     def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
         if len(point) != self.nvars:
@@ -347,28 +348,14 @@ def reduce_mod_ideal(f: MPoly, aset: CartesianSet) -> MPoly:
         exps, coeff = pending.popitem()
         for i, n_i in enumerate(sizes):
             if exps[i] >= n_i:
-                base = list(exps)
-                base[i] -= n_i
-                for exp, c in tails[i]:
-                    base[i] += exp
-                    key = tuple(base)
-                    base[i] -= exp
-                    add = coeff * c
-                    cur = pending.get(key)
-                    s = add if cur is None else cur + add
-                    if s.val == 0:
-                        pending.pop(key, None)
-                    else:
-                        pending[key] = s
+                head, low, tail = exps[:i], exps[i] - n_i, exps[i + 1 :]
+                _add_terms(pending, (
+                    (head + (low + exp,) + tail, coeff * c) for exp, c in tails[i]
+                ))
                 break
         else:
-            cur = reduced.get(exps)
-            s = coeff if cur is None else cur + coeff
-            if s.val == 0:
-                reduced.pop(exps, None)
-            else:
-                reduced[exps] = s
-    return MPoly(f.field, f.nvars, reduced)
+            _add_terms(reduced, [(exps, coeff)])
+    return MPoly._from_terms(f.field, f.nvars, reduced)
 
 
 def lagrange_point(aset: CartesianSet, point: Sequence[FieldElement]) -> MPoly:
@@ -396,15 +383,15 @@ def interpolate_multivariate(
         raise ValueError(
             f"expected {aset.size} values (one per grid point), got {len(values)}"
         )
+    one = aset.field.one
     result = MPoly.zero(aset.field, aset.nvars)
-    deriv = aset.derivative_values()
-    for point, value in zip(aset.points, values):
+    # the derivative values in grid point order, as aset.points enumerates
+    lags = itertools.product(*aset.derivative_values())
+    for point, value, lag in zip(aset.points, values, lags):
         if value.val == 0:
             continue
-        scale = aset.field.one
-        for i, a in enumerate(point):
-            scale = scale * deriv[i][aset.components[i].index(a)]
-        result = result + lagrange_point(aset, point).scale(value * scale.inverse())
+        scale = prod(lag, start=one).inverse()
+        result = result + lagrange_point(aset, point).scale(value * scale)
     return result
 
 

@@ -10,9 +10,11 @@ otherwise).  For every (A, v, k) it compares four LCD verdicts:
   3. nonsingularity of the Gram matrix G G^T,
   4. emptiness of the intersection of the code with its dual.
 
-(1)/(2) come out of one UnivariateLcdAnalysis, which raises on internal
-disagreement; (3)/(4) come out of one is_lcd_bruteforce call, likewise.
-The sweep records any cross-route disagreement.
+(1)/(2) come out of one UnivariateLcdAnalysis: (1) is membership in its
+admissible_codimensions(), (2) its is_lcd(k), which applies the gap rule
+alone, so this sweep is where the two rules meet; (3)/(4) come out of one
+is_lcd_bruteforce call, which raises on internal disagreement.  The sweep
+records any cross-route disagreement.
 
 The same walk feeds the dual and parameter checks:
 
@@ -163,7 +165,7 @@ def _check_set(field, points, outcome: SweepOutcome):
         rows = generator_matrix(CartesianSpec(cset, v, n)).generator.rows
         for k in range(1, n):
             membership = (n - k) in admissible
-            gap_rule = analysis.is_lcd(k)  # verifies the two EEA routes agree
+            gap_rule = analysis.is_lcd(k)
             spec = CartesianSpec(cset, v, k)
             code = LinearCode(Matrix(field, rows[:k], n), n, k)
             brute = is_lcd_bruteforce(spec, code=code)  # Gram and intersection

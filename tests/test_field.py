@@ -314,3 +314,57 @@ def test_fields_and_elements_pickle():
         assert copy.mul(2, 3) == field.mul(2, 3)
         element = field.element(3)
         assert pickle.loads(pickle.dumps(element)) == element
+
+
+def test_interned_fields_skip_the_primality_test(monkeypatch):
+    import pickle
+
+    import cartcodes.field as field_module
+
+    fields = (GF(2**31 - 1), GF(2, 8))
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(field_module, "is_prime", counting_is_prime)
+    assert GF(2**31 - 1) is fields[0]
+    assert GF(2, 8) is fields[1]
+    for field in fields:
+        element = field.element(5)
+        copy = pickle.loads(pickle.dumps(element))
+        assert copy == element and copy.field is field
+    assert calls == []
+    # equal but non-int arguments still go through validation
+    for bad in ((7.0,), (7, 1.0), (2, 2.0), (True,)):
+        with pytest.raises(ValueError):
+            Field(*bad)
+
+
+def _seeded_nonzero(field, count, seed=1):
+    rng = random.Random(seed)
+    return [field.from_int(rng.randrange(1, field.order)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p, e", [(2, 64), (2, 128), (3, 81), (2**31 - 1, 2)])
+def test_untabled_inverse(p, e):
+    field = GF(p, e)
+    for a in _seeded_nonzero(field, 10):
+        assert a * a.inverse() == field.one
+
+
+@pytest.mark.parametrize("p, e", [(3, 6), (2, 16)])
+def test_untabled_inverse_matches_power(p, e):
+    field = GF(p, e)
+    for a in _seeded_nonzero(field, 10):
+        assert a.inverse() == a ** (field.order - 2)
+
+
+def test_untabled_inverse_is_fast():
+    field = GF(2, 128)
+    elements = _seeded_nonzero(field, 100)
+    start = time.perf_counter()
+    for a in elements:
+        a.inverse()
+    assert time.perf_counter() - start < 1.0

@@ -96,6 +96,25 @@ def test_admissible_set_contiguous_when_top_degree_full():
     assert max(analysis.admissible_codimensions()) == len(A) - 1
 
 
+def test_is_lcd_follows_gap_rule_on_faulty_degrees():
+    # A faulty Euclid kernel could hand the analysis a non-monotone degree
+    # list.  is_lcd must still apply the gap rule alone, and so disagree
+    # with membership there: that disagreement is what the agreement sweeps
+    # compare is_lcd against admissible_codimensions() to catch.
+    analysis = UnivariateLcdAnalysis(els(F7, 0, 1, 2, 3, 4, 5), ones(F7, 6))
+    analysis.remainder_degrees = [2, 4, 0]
+    degs = [6, 2, 4, 0]
+    gap = [
+        not any(lo < 6 - k < hi for hi, lo in zip(degs, degs[1:]))
+        for k in range(1, 7)
+    ]
+    membership = [6 - k in analysis.admissible_codimensions() for k in range(1, 7)]
+    assert gap == [False, False, False, False, False, True]
+    assert membership == [False, True, False, True, False, True]
+    assert [analysis.is_lcd(k) for k in range(1, 7)] == gap
+    assert analysis.lcd_degrees() == [6]
+
+
 def test_is_lcd_univariate_reference_verdicts():
     assert is_lcd_univariate(els(F7, 0, 1, 2), ones(F7, 3), 2).is_lcd
     assert not is_lcd_univariate(els(F7, 0, 1, 2), els(F7, 1, 1, 2), 2).is_lcd
