@@ -191,7 +191,7 @@ def generator_matrix(spec: CartesianSpec) -> LinearCode:
     earlier in graded-lex order.
     """
     cset = spec.cset
-    mul = cset.field.mul
+    row_mul = cset.field.row_mul
     # coordinate i of every point, in cset.points order, as codes
     points = itertools.product(*([a.val for a in comp] for comp in cset.components))
     coords = list(zip(*points))
@@ -200,7 +200,7 @@ def generator_matrix(spec: CartesianSpec) -> LinearCode:
         for i, e in enumerate(exps):
             if e:
                 parent = rows[exps[:i] + (e - 1,) + exps[i + 1 :]]
-                rows[exps] = list(map(mul, parent, coords[i]))
+                rows[exps] = row_mul(parent, coords[i])
                 break
         else:
             rows[exps] = [v.val for v in spec.scalars]

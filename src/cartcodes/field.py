@@ -13,9 +13,10 @@ This is the only module that knows how a field does its arithmetic.  Each
 extension fields look codes up in flat integer tables, larger ones work on
 coefficient vectors.  :class:`FieldElement` operations and the elimination
 and polynomial kernels all run on those primitives; prime fields and the
-tabled fields of characteristic 2 also eliminate and multiply wide matrices
-on packed rows, one big integer per row.  For orders up to 256 the q
-elements are interned, so element arithmetic allocates nothing.
+tabled fields of characteristic 2 also eliminate and multiply matrices on
+packed rows, one big integer per row, for the shapes where the field's
+packing rule says that is faster.  For orders up to 256 the q elements are
+interned, so element arithmetic allocates nothing.
 
 The polynomial kernels on code lists live here too: unipoly.py builds
 ``Poly`` on them, and field construction runs on them over GF(p), for
@@ -75,7 +76,8 @@ def is_prime(n: int) -> bool:
 #
 # Little-endian lists of element codes, on the primitives of a Field: the
 # one product and division arithmetic of the library, for every ``Poly``
-# and, over GF(p), for field construction.
+# and, over GF(p), for field construction.  Division by X - r is the
+# field's ``horner`` primitive.
 
 
 def _trim(c: list[int]) -> list[int]:
@@ -104,18 +106,6 @@ def _divmod_vals(field: "Field", a: list[int], b: list[int]) -> tuple[list[int],
             quot[shift] = factor
             sub_mul(rem, factor, low, shift)
     return quot, _trim(rem)
-
-
-def _div_linear_vals(field: "Field", a: list[int], r: int) -> list[int]:
-    """The quotient of a normalized code list by X - r, by synthetic
-    division: one ``mul`` and one ``add`` per coefficient.  The remainder,
-    a(r), is dropped, so for a root r the quotient is exact."""
-    add, mul = field.add, field.mul
-    quot = [0] * (len(a) - 1)
-    acc = 0
-    for i in range(len(a) - 1, 0, -1):
-        quot[i - 1] = acc = add(a[i], mul(acc, r))
-    return quot
 
 
 def _sub_mul_vals(field: "Field", y: list[int], q: list[int], x: list[int]) -> list[int]:
@@ -366,6 +356,50 @@ def _xor_matmul(tables, a_rows, b_rows, ncols: int) -> list[list[int]]:
     return out
 
 
+# When packed rows pay.  Per entry, a pivot costs an update of every entry
+# of every row below it, about nrows * ncols steps; packed, it costs about
+# ncols steps to unpack and repack the pivot row and nrows big-integer
+# updates.  So packed elimination wins when a / nrows + b / ncols < 1, for
+# constants (a, b) of the field, fitted to the per-entry over packed time
+# ratios in linalg's docstring.  Small primes need larger constants, as a
+# per-entry update skips zero entries: a half of them over GF(2), a third
+# over GF(3).  Up to GF(13) they follow the Zassenhaus matrices of small
+# product grids, which take fewer per-entry updates than dense ones.
+# Products pack from an output width on (the third entry): the per-entry
+# Gram matrix computes only half its entries.  Rules by characteristic,
+# the first whose bound p does not exceed:
+_PACK_RULES = (
+    (2, (8, 12, 8)),
+    (3, (4, 10, 8)),
+    (13, (5, 8, 8)),
+    (_MAX_CHARACTERISTIC, (3, 6, 8)),
+)
+_PACK_RULE_BYTES = (1.5, 4, 4)  # GF(2^e), e <= 8, one byte per entry
+
+
+def _packing(echelon, matmul, rule) -> dict:
+    """A field's packed kernels and the predicates choosing them:
+    ``packs_echelon(nrows, ncols)`` for elimination and
+    ``packs_matmul(width)`` for products, from ``rule = (a, b, width)``."""
+    a, b, min_width = rule
+
+    def packs_echelon(nrows, ncols):
+        return a * ncols + b * nrows < nrows * ncols
+
+    def packs_matmul(width):
+        return width >= min_width
+
+    return dict(packed_echelon=echelon, packed_matmul=matmul,
+                packs_echelon=packs_echelon, packs_matmul=packs_matmul)
+
+
+def _never(*shape) -> bool:
+    return False
+
+
+_UNPACKED = dict(packed_echelon=None, packed_matmul=None, packs_echelon=_never, packs_matmul=_never)
+
+
 class FieldElement:
     """An element of a :class:`Field`, stored by its canonical integer code.
 
@@ -515,8 +549,12 @@ class Field:
         "dot",
         "sub_mul",
         "scale",
+        "horner",
+        "row_mul",
         "packed_echelon",
         "packed_matmul",
+        "packs_echelon",
+        "packs_matmul",
     )
 
     def __new__(cls, p: int, e: int = 1, modulus: Sequence[int] | None = None):
@@ -566,16 +604,17 @@ class Field:
         # Python calls this after every __new__; an interned field is kept.
         if hasattr(self, "add"):
             return
-        # the prime field, whose primitives the coefficient vectors use
-        self._base = self if self.extension_degree == 1 else Field(self.p)
+        # the prime field, whose primitives the coefficient vectors use;
+        # __new__ built it before this field
+        self._base = self if self.extension_degree == 1 else _FIELDS[self.p, 1, None]
         if self.order <= _TABLE_MAX_ORDER:
             self._elems = [FieldElement(self, v) for v in range(self.order)]
             self._get = self._elems.__getitem__
         else:
             self._elems = None
             self._get = partial(FieldElement, self)
-        (self.add, self.mul, self.neg, self.inv, self.dot, self.sub_mul, self.scale,
-         self.packed_echelon, self.packed_matmul) = self._make_primitives()
+        for name, primitive in self._make_primitives().items():
+            setattr(self, name, primitive)
 
     # -- raw arithmetic on integer codes -----------------------------------
 
@@ -668,8 +707,8 @@ class Field:
                 return powers
         raise AssertionError(f"no primitive element in {self}")
 
-    def _make_primitives(self):
-        """The arithmetic primitives on integer element codes.
+    def _make_primitives(self) -> dict:
+        """The arithmetic primitives on integer element codes, by name.
 
         :class:`FieldElement` and the elimination and polynomial kernels all
         compute through these callables, so every field shares one spelling
@@ -681,21 +720,32 @@ class Field:
         - ``sub_mul(y, a, x, shift)``: the row update
           ``y[shift + j] -= a * x[j]`` for every ``j``, in place;
         - ``scale(x, a, lo)``: ``x[j] *= a`` for every ``j >= lo``, in place;
+        - ``horner(c, r)``: the Horner partial sums of the polynomial with
+          coefficients ``c`` at ``r``, as a new list ``s`` with
+          ``s[i] = c[i] + r * s[i + 1]``; ``s[0]`` is the value at ``r``
+          and ``s[1:]`` the quotient by X - r (synthetic division);
+        - ``row_mul(x, y)``: the entrywise product ``x[j] * y[j]``, as a new
+          list;
         - ``packed_echelon(rows, ncols, reduce)``: the row echelon form of
           code rows in place, fully reduced if ``reduce``, with the pivot
           columns returned; or ``None``;
         - ``packed_matmul(a_rows, b_rows, ncols)``: the product of the code
           matrix with rows ``a_rows`` and the one with ``ncols``-wide rows
-          ``b_rows``, as new rows; or ``None``.
+          ``b_rows``, as new rows; or ``None``;
+        - ``packs_echelon(nrows, ncols)`` and ``packs_matmul(width)``: whether
+          a matrix of that shape, or a product of that output width, is
+          faster on the packed primitive; always false without one.
 
         Prime fields compute with inline ``% p``; extension fields of order
         up to 256 look codes up in the flat integer tables of
         :meth:`_build_tables`, and larger ones fall back to coefficient-vector
-        arithmetic.  ``sub_mul`` skips zero entries of ``x``, so sparse rows
-        cost less.  Elimination and products over these primitives go one
-        entry at a time.  The two packed primitives hold each row as one
-        integer, so that a whole row update is one integer operation, and
-        linalg takes them for wide matrices:
+        arithmetic.  Each kind has one body per primitive.  ``sub_mul``
+        skips zero entries of ``x``, so sparse rows cost less.  Elimination
+        and products over these primitives go one entry at a time.  The two
+        packed primitives hold each row as one integer, so that a whole row
+        update is one integer operation, and linalg takes them where the
+        field's ``packs_*`` predicate says they are faster (the rule is at
+        ``_PACK_RULES``):
 
         - prime fields pack codes into slots wide enough for the integer
           sums a kernel forms (:func:`_packed_echelon`,
@@ -736,10 +786,21 @@ class Field:
                     if x[j]:
                         x[j] = a * x[j] % p
 
-            packed = (None, None)
+            def horner(c, r):
+                acc = 0
+                sums = [acc := (acc * r + x) % p for x in reversed(c)]
+                sums.reverse()
+                return sums
+
+            def row_mul(x, y):
+                return [a * b % p for a, b in zip(x, y)]
+
+            packing = _UNPACKED
             if _PACKED_ROWS:
-                packed = (partial(_packed_echelon, p), partial(_packed_matmul, p))
-            return add, mul, neg, inv, dot, sub_mul, scale, *packed
+                packing = _packing(partial(_packed_echelon, p), partial(_packed_matmul, p),
+                                   next(rule for top, rule in _PACK_RULES if p <= top))
+            return dict(add=add, mul=mul, neg=neg, inv=inv, dot=dot, sub_mul=sub_mul,
+                        scale=scale, horner=horner, row_mul=row_mul, **packing)
         if self.order <= _TABLE_MAX_ORDER:
             q = self.order
             add_v, mul_v, neg_v, inv_v = self._build_tables()
@@ -767,13 +828,24 @@ class Field:
                 for j in range(lo, len(x)):
                     x[j] = mul_v[row + x[j]]
 
+            def horner(c, r):
+                acc, row = 0, r * q
+                sums = [acc := add_v[mul_v[row + acc] * q + x] for x in reversed(c)]
+                sums.reverse()
+                return sums
+
+            def row_mul(x, y):
+                return [mul_v[a * q + b] for a, b in zip(x, y)]
+
             inv = inv_v.__getitem__
-            packed = (None, None)
+            packing = _UNPACKED
             if self.p == 2:
                 # a row times a is bytes.translate through tables[a]
                 tables = [bytes(mul_v[a * q : a * q + q]) + bytes(256 - q) for a in range(q)]
-                packed = (partial(_xor_echelon, tables, inv), partial(_xor_matmul, tables))
-            return add, mul, neg_v.__getitem__, inv, dot, sub_mul, scale, *packed
+                packing = _packing(partial(_xor_echelon, tables, inv),
+                                   partial(_xor_matmul, tables), _PACK_RULE_BYTES)
+            return dict(add=add, mul=mul, neg=neg_v.__getitem__, inv=inv, dot=dot,
+                        sub_mul=sub_mul, scale=scale, horner=horner, row_mul=row_mul, **packing)
         add, mul, neg = self._add_val, self._mul_val, self._neg_val
 
         def dot(x, y):
@@ -794,7 +866,17 @@ class Field:
                 if x[j]:
                     x[j] = mul(a, x[j])
 
-        return add, mul, neg, self._inv_val, dot, sub_mul, scale, None, None
+        def horner(c, r):
+            acc = 0
+            sums = [acc := add(mul(acc, r), x) for x in reversed(c)]
+            sums.reverse()
+            return sums
+
+        def row_mul(x, y):
+            return list(map(mul, x, y))
+
+        return dict(add=add, mul=mul, neg=neg, inv=self._inv_val, dot=dot, sub_mul=sub_mul,
+                    scale=scale, horner=horner, row_mul=row_mul, **_UNPACKED)
 
     # -- element construction ----------------------------------------------
 

@@ -39,7 +39,7 @@ from .codes import (
     min_distance_formula,
 )
 from .errors import InconsistencyError
-from .field import Field, FieldElement, _div_linear_vals, _trim
+from .field import Field, FieldElement, _trim
 from .linalg import (
     Matrix,
     _echelon_vals,
@@ -131,8 +131,10 @@ class PointSetData:
         self.points = tuple(points)
         self.L = L = vanishing_poly(self.points)
         self.field = field = L.field
+        horner = field.horner
+        # exact quotients L / (X - a): the Horner sums past the value at a
         self.lagrange_terms = tuple(
-            Poly._from_vals(field, _div_linear_vals(field, L.vals, a.val)) for a in self.points
+            Poly._from_vals(field, horner(L.vals, a.val)[1:]) for a in self.points
         )
 
     def associated_poly(self, scalars: Sequence[FieldElement]) -> Poly:

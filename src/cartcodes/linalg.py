@@ -21,18 +21,41 @@ Zassenhaus intersection eliminates forward and reduces only the rows that
 carry its basis.
 
 Each depth has two paths with the same pivots and rows, chosen once per
-call by width.  Below ``_PACKED_MIN_COLS`` columns, or over a field
-without packed rows, the per-entry kernels ``_echelon_entries`` and
-``_rref_entries`` update one entry at a time.  From that width on, the
+call by the field from the matrix's shape: linalg only asks
+``field.packs_echelon(nrows, ncols)``.  The per-entry kernels
+``_echelon_entries`` and ``_rref_entries`` update one entry at a time; the
 field's ``packed_echelon`` holds each row as one big integer, so a row
 update is one integer operation on it: a multiply-add over a prime field,
-a translation and an XOR over GF(2^e) with e <= 8.
+a translation and an XOR over GF(2^e) with e <= 8.  Fields without packed
+rows never pack.  Per-entry time over packed time, forward / reduced, on
+random dense matrices (2-vCPU Xeon, Python 3.11; * marks the shapes the
+field packs, see ``_PACK_RULES`` in field.py):
+
+    field      2x8        2x32       4x32       8x8        8x16       12x12      24x24
+    GF(2)      0.28/0.32  0.21/0.24  0.55/0.38  0.39/0.41  0.47/0.47  0.66/0.49  1.09/0.84*
+    GF(3)      0.42/0.33  0.55/0.37  0.83/0.53  0.60/0.63  0.83/0.58  1.39/0.77  1.82/1.27*
+    GF(7)      0.52/0.48  0.72/0.57  1.09/1.05  0.86/0.74  1.23/1.07  1.36/0.96  2.14/1.88*
+    GF(17)     0.49/0.51  0.69/0.57  1.20/1.13* 1.24/0.69  1.44/1.23* 1.36/1.07* 2.93/2.01*
+    GF(251)    0.49/0.68  0.69/0.66  1.13/1.06* 1.01/0.79  1.35/1.27* 1.47/1.04* 2.97/1.99*
+    GF(65521)  0.44/0.45  0.89/0.72  1.20/1.14* 1.14/0.83  1.52/1.34* 1.40/1.15* 3.14/2.02*
+    GF(2^31-1) 0.67/0.64  0.93/0.91  1.16/1.10* 1.14/0.80  1.55/1.37* 1.70/1.15* 3.29/2.02*
+    GF(2^4)    0.85/0.92  1.37/1.24* 2.42/4.16* 1.36/1.32* 2.27/2.34* 2.12/1.70* 4.08/2.75*
+    GF(2^8)    0.91/0.96  1.52/1.71* 2.64/3.35* 1.62/1.47* 2.63/2.77* 2.26/1.96* 4.75/3.32*
+
+At 32x64 every field packs, at 2.0 to 11 times the per-entry speed.  Up
+to GF(13) the rule follows the Zassenhaus matrices of small product grids
+rather than dense ones: their W half comes in reduced form, so per entry
+they take fewer updates (over GF(7), 9 x 18 breaks even).
 
 Products have one kernel, ``_matmul_vals``, behind both the Gram matrix
-and ``Matrix.__matmul__``, with two paths chosen the same way by output
-width.  Below ``_PACKED_MIN_WIDTH`` columns each entry is one ``dot``
-(a Gram entry is computed once and mirrored); from there on, the field's
-``packed_matmul`` forms each output row as one sum of packed rows.
+and ``Matrix.__matmul__``, with two paths chosen the same way, by
+``field.packs_matmul(width)`` on the output width.  Per entry, each entry
+is one ``dot`` (a Gram entry is computed once and mirrored); packed, the
+field's ``packed_matmul`` forms each output row as one sum of packed rows.
+Prime fields pack from width 8 and byte rows from width 4.  On the Gram
+matrix of a k x 32 generator, per-entry over packed time is 0.3 to 0.4
+at k = 2, 0.6 to 0.7 at k = 4 and 1.0 to 1.4 at k = 8 over primes, and
+0.6 to 0.9, 1.1 to 1.7 and 1.9 to 2.5 over GF(2^2) and GF(2^8).
 """
 
 from __future__ import annotations
@@ -43,34 +66,20 @@ from .errors import FieldMismatchError, SingularMatrixError
 from .field import Field, FieldElement
 
 
-# Rows at least this wide are eliminated packed, where the field offers it
-# (``Field.packed_echelon``); narrower ones entry by entry.  The measured
-# crossover on n x 2n matrices: GF(2) breaks even at 32 columns, GF(3) at
-# about 28, GF(5) and larger primes by 20.
-_PACKED_MIN_COLS = 32
-
-# Products at least this wide are computed on packed rows, where the field
-# offers it (``Field.packed_matmul``); narrower ones entry by entry.  The
-# measured crossover on Gram matrices of k x n generators, n = 12 to 64:
-# over GF(2) to GF(2^31 - 1) the packed path runs 0.9-1.6x as fast at
-# k = 8 and 0.5-0.9x at k = 4; over GF(2^8), 0.8-1.4x at k = 4.
-_PACKED_MIN_WIDTH = 8
-
-
 def _echelon_vals(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
     """In-place row echelon form on code rows; returns pivot cols.
 
     Pivots are monic and cleared below only; rows past the last pivot end
     zero.  Enough for a rank, and the forward sweep of :func:`_rref_vals`.
     """
-    if ncols >= _PACKED_MIN_COLS and field.packed_echelon is not None:
+    if field.packs_echelon(len(rows), ncols):
         return field.packed_echelon(rows, ncols, False)
     return _echelon_entries(field, rows, ncols)
 
 
 def _rref_vals(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
     """In-place reduced row echelon form on code rows; returns pivot cols."""
-    if ncols >= _PACKED_MIN_COLS and field.packed_echelon is not None:
+    if field.packs_echelon(len(rows), ncols):
         return field.packed_echelon(rows, ncols, True)
     return _rref_entries(field, rows, ncols)
 
@@ -133,7 +142,7 @@ def _matmul_vals(
     mirrors it below.
     """
     width = len(b_cols)
-    if width >= _PACKED_MIN_WIDTH and field.packed_matmul is not None:
+    if field.packs_matmul(width):
         return field.packed_matmul(a_rows, zip(*b_cols), width)
     dot = field.dot
     if a_rows is not b_cols:

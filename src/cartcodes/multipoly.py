@@ -13,7 +13,7 @@ import itertools
 from math import prod
 from typing import Mapping, Sequence
 
-from .field import Field, FieldElement, _div_linear_vals
+from .field import Field, FieldElement
 from .unipoly import NEG_INF, Poly, formal_derivative, vanishing_poly
 
 
@@ -369,7 +369,7 @@ def lagrange_point(aset: CartesianSet, point: Sequence[FieldElement]) -> MPoly:
     result = MPoly.constant(field, aset.nvars, field.one)
     for i, (li, a) in enumerate(zip(aset.vanishing_generators(), point)):
         # exact: L_i / (X - a)
-        factor = Poly._from_vals(field, _div_linear_vals(field, li.vals, a.val))
+        factor = Poly._from_vals(field, field.horner(li.vals, a.val)[1:])
         result = result * MPoly.lift(factor, aset.nvars, i)
     return result
 

@@ -5,14 +5,17 @@ vanishing polynomials of point sets, single-point Lagrange factors, formal
 derivatives, interpolation, and the extended Euclidean remainder sequence
 with full Bezout bookkeeping.
 
-Products, long division, division by X - a and the Euclidean sequence
-each have one kernel on lists of integer element codes, written on the
-primitives of :class:`~cartcodes.field.Field`.  The first three live in
-field.py, as field construction runs on them too; :func:`_eea_vals` lives
-here.  A :class:`Poly` stores its coefficients as those codes, so its
-arithmetic and :func:`eea_sequence` hand them to the kernels as they are;
-field elements appear only where a polynomial is built from them or read
-out.  Callers that need only remainder degrees run the kernel directly.
+Products, long division, products of linear factors and the Euclidean
+sequence each have one kernel on lists of integer element codes, written
+on the primitives of :class:`~cartcodes.field.Field`; evaluation and
+division by X - a are the field's ``horner`` primitive.  Products and long
+division live in field.py, as field construction runs on them too;
+:func:`_root_product_vals` and :func:`_eea_vals` live here.  A
+:class:`Poly` stores its coefficients as those codes, so its arithmetic and
+:func:`eea_sequence` hand them to the kernels as they are; field elements
+appear only where a polynomial is built from them or read out.  Callers
+that need only remainder degrees run the Euclidean kernel directly, which
+keeps the one Bezout side its degree-law check reads.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, InconsistencyError, NotCoprimeError
-from .field import Field, FieldElement, _div_linear_vals, _divmod_vals, _sub_mul_vals, _trim
+from .field import Field, FieldElement, _divmod_vals, _sub_mul_vals, _trim
 
 # degree(0); compares below every integer and survives max()/comparisons,
 # unlike a -1 sentinel that could leak into arithmetic.
@@ -183,11 +186,7 @@ class Poly:
     def __call__(self, x: FieldElement) -> FieldElement:
         """Evaluation by Horner's rule."""
         field = self._check_field(x)
-        add, mul, a = field.add, field.mul, x.val
-        acc = 0
-        for c in reversed(self.vals):
-            acc = add(mul(acc, a), c)
-        return field._get(acc)
+        return field._get(field.horner(self.vals, x.val)[0] if self.vals else 0)
 
     # -- identity and display -------------------------------------------------
 
@@ -226,17 +225,28 @@ class Poly:
 # -- point-set constructions --------------------------------------------------
 
 
+def _root_product_vals(field: Field, roots: Iterable[int]) -> list[int]:
+    """The product of X - r over the codes ``roots``, on one code list: each
+    factor is a shift and one ``sub_mul``, X * c - r * c."""
+    vals = [1]
+    sub_mul = field.sub_mul
+    for r in roots:
+        shifted = [0] + vals
+        if r:
+            sub_mul(shifted, r, vals, 0)
+        vals = shifted
+    return vals
+
+
 def vanishing_poly(points: Sequence[FieldElement]) -> Poly:
     """Monic polynomial whose roots are exactly the given distinct points."""
     if not points:
         raise ValueError("vanishing polynomial needs at least one point")
-    if len({a.val for a in points}) != len(points):
-        raise ValueError("points must be pairwise distinct")
     field = points[0].field
-    result = Poly.one(field)
-    for a in points:
-        result = result * Poly(field, (-a, field.one))
-    return result
+    codes = field._codes_of(points)
+    if len(set(codes)) != len(codes):
+        raise ValueError("points must be pairwise distinct")
+    return Poly._from_vals(field, _root_product_vals(field, codes))
 
 
 def lagrange_term(points: Sequence[FieldElement], a: FieldElement) -> Poly:
@@ -248,11 +258,8 @@ def lagrange_term(points: Sequence[FieldElement], a: FieldElement) -> Poly:
     if all(a != b for b in points):
         raise ValueError(f"{a!r} is not among the interpolation points")
     field = a.field
-    result = Poly.one(field)
-    for b in points:
-        if b != a:
-            result = result * Poly(field, (-b, field.one))
-    return result
+    others = [b for b in field._codes_of(points) if b != a.val]
+    return Poly._from_vals(field, _root_product_vals(field, others))
 
 
 def formal_derivative(f: Poly) -> Poly:
@@ -278,7 +285,7 @@ def interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Poly:
         if y.val == 0:
             continue
         # the Lagrange factor as the exact quotient L / (X - x): O(n) each
-        term = Poly._from_vals(field, _div_linear_vals(field, L.vals, x.val))
+        term = Poly._from_vals(field, field.horner(L.vals, x.val)[1:])
         result = result + term.scale(y * term(x).inverse())
     return result
 
@@ -326,34 +333,34 @@ class EeaResult:
 
 
 def _eea_vals(field: Field, L: list[int], H: list[int]):
-    """The extended Euclidean sequence of :func:`eea_sequence` on code lists.
+    """The extended Euclidean sequence of :func:`eea_sequence` on code
+    lists, with the f-side of the Bezout data only.
 
-    Returns ``(remainders, quotients, bezout_h, bezout_f, constant)``: one
-    normalized code list per row (the two seed rows have quotient None),
-    with the final row rescaled to 1 and the code of the constant that was
-    divided out.  Raises as :func:`eea_sequence` does.
+    Returns ``(remainders, quotients, bezout_f, constant)``: one normalized
+    code list per row (the two seed rows have quotient None), with the
+    final row rescaled to 1 and the code of the constant that was divided
+    out.  The f-side is what the Bezout degree law, checked here on every
+    row, reads; the h-side, which no verdict reads, :func:`eea_sequence`
+    builds from the quotients.  Raises as :func:`eea_sequence` does.
     """
     if not L or not H:
         raise ValueError("extended Euclidean sequence needs nonzero inputs")
     if not len(H) < len(L):
         raise ValueError("expected deg H < deg L")
-    rems, quots, hs, fs = [L, H], [None, None], [[1], []], [[], [1]]
+    rems, quots, fs = [L, H], [None, None], [[], [1]]
     while len(rems[-1]) > 1:
         q, r = _divmod_vals(field, rems[-2], rems[-1])
         if not r:
             raise NotCoprimeError(Poly._from_vals(field, rems[-1]).monic())
         rems.append(r)
         quots.append(q)
-        hs.append(_sub_mul_vals(field, hs[-2], q, hs[-1]))
         fs.append(_sub_mul_vals(field, fs[-2], q, fs[-1]))
 
     # Normalize the final constant row to 1, preserving the Bezout identity.
     constant = rems[-1][0]
     if constant != 1:
-        inv = field.inv(constant)
         rems[-1] = [1]
-        field.scale(hs[-1], inv, 0)
-        field.scale(fs[-1], inv, 0)
+        field.scale(fs[-1], field.inv(constant), 0)
 
     # The degree law deg f_i = deg L - deg g_{i-1} is only stated for
     # i <= t, but the LCD criterion leans on it at i = t+1 as well; verify
@@ -367,7 +374,7 @@ def _eea_vals(field: Field, L: list[int], H: list[int]):
                 f"Bezout degree law failed at row {i}: deg f = {actual}, "
                 f"expected {expected}"
             )
-    return rems, quots, hs, fs, constant
+    return rems, quots, fs, constant
 
 
 def eea_sequence(L: Poly, H: Poly) -> EeaResult:
@@ -380,7 +387,12 @@ def eea_sequence(L: Poly, H: Poly) -> EeaResult:
     """
     field = L.field
     H._check_field(L)
-    rems, quots, hs, fs, constant = _eea_vals(field, L.vals, H.vals)
+    rems, quots, fs, constant = _eea_vals(field, L.vals, H.vals)
+    hs = [[1], []]
+    for q in quots[2:]:
+        hs.append(_sub_mul_vals(field, hs[-2], q, hs[-1]))
+    if constant != 1:
+        field.scale(hs[-1], field.inv(constant), 0)
     poly = Poly._from_vals
     steps = [
         EeaStep(

@@ -342,6 +342,25 @@ def test_interned_fields_skip_the_primality_test(monkeypatch):
             Field(*bad)
 
 
+def test_extension_field_builds_its_base_once(monkeypatch):
+    # A fresh GF(23^2) constructs GF(23) and itself, and reads the base back
+    # from the registry instead of calling Field again.
+    import cartcodes.field as field_module
+
+    monkeypatch.setattr(field_module, "_FIELDS", {})
+    calls = []
+    init = Field.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    field = GF(23, 2)
+    assert calls == [(23,), (23, 2, None)]
+    assert field._base is GF(23) and field.mul(24, 24) == field._mul_val(24, 24)
+
+
 def _seeded_nonzero(field, count, seed=1):
     rng = random.Random(seed)
     return [field.from_int(rng.randrange(1, field.order)) for _ in range(count)]

@@ -36,10 +36,9 @@ from cartcodes import (
     subspace_intersection,
     vanishing_poly,
 )
+from cartcodes.field import _divmod_vals, _trim
 from cartcodes.lcd import LCD, PointSetData
 from cartcodes.linalg import (
-    _PACKED_MIN_COLS,
-    _PACKED_MIN_WIDTH,
     _echelon_entries,
     _echelon_vals,
     _gram_vals,
@@ -60,8 +59,8 @@ AXIOM_FIELDS = SMALL_FIELDS + EXTENSION_FIELDS
 UNTABLED_FIELDS = [GF(1009), GF(3, 6)]
 # small primes, tabled and untabled extensions, and GF(1009)
 LINALG_FIELDS = SMALL_FIELDS + EXTENSION_FIELDS + UNTABLED_FIELDS
-# the prime fields above, which eliminate packed rows from _PACKED_MIN_COLS
-# columns on, and the largest characteristic, whose slots are two words
+# the prime fields above, which eliminate on packed rows past their packing
+# crossover, and the largest characteristic, whose slots are two words
 PACKED_FIELDS = [f for f in LINALG_FIELDS if f.extension_degree == 1] + [GF(2**31 - 1)]
 # the tabled fields of characteristic 2, which pack one byte per entry
 CHAR2_FIELDS = [GF(2, 2), GF(2, 3), GF(2, 4), GF(2, 8)]
@@ -213,6 +212,65 @@ def test_unit_scalars_give_derivative():
         A = random_subset(rng, field, 2, min(5, field.order))
         H = associated_poly_univariate(A, [field.one] * len(A))
         assert H == formal_derivative(vanishing_poly(A))
+
+
+# every body of the code primitives: tabled and untabled, prime and
+# extension, and the widest field of each packed kind
+PRIMITIVE_FIELDS = REFERENCE_FIELDS + [GF(2**31 - 1), GF(2, 8)]
+
+
+def random_code_list(rng, field, max_len):
+    return _trim([rng.randrange(field.order) for _ in range(rng.randrange(0, max_len + 1))])
+
+
+def test_horner_is_synthetic_division_and_evaluation():
+    # the partial sums of c at r: the quotient and remainder of long
+    # division by X - r, and the remainder is c(r) summed over powers of r
+    rng = random.Random(0x4E7B)
+    for _ in range(CASES):
+        field = rng.choice(PRIMITIVE_FIELDS)
+        c = random_code_list(rng, field, 12)
+        r = rng.randrange(field.order)
+        sums = field.horner(c, r)
+        assert len(sums) == len(c)
+        x, value = field._get(r), field.zero
+        for k, ck in enumerate(c):
+            value = value + field._get(ck) * x**k
+        assert Poly._from_vals(field, c)(x) == value
+        if c:
+            quot, rem = _divmod_vals(field, c, [field.neg(r), 1])
+            assert sums[1:] == quot
+            assert _trim(sums[:1]) == rem
+            assert sums[0] == value.val
+
+
+def test_row_mul_matches_mul():
+    rng = random.Random(0x40A1)
+    for _ in range(CASES):
+        field = rng.choice(PRIMITIVE_FIELDS)
+        n = rng.randrange(0, 20)
+        x = [rng.randrange(field.order) for _ in range(n)]
+        y = [rng.randrange(field.order) for _ in range(n)]
+        before = (list(x), list(y))
+        assert field.row_mul(x, y) == [field.mul(a, b) for a, b in zip(x, y)]
+        assert (x, y) == before
+
+
+def test_vanishing_poly_is_product_of_linear_factors():
+    rng = random.Random(0x7A3F)
+    for _ in range(CASES):
+        field = rng.choice(PRIMITIVE_FIELDS)
+        A = random_subset(rng, field, 1, 12)
+        factors = [Poly(field, (-a, field.one)) for a in A]
+        expected = Poly.one(field)
+        for factor in factors:
+            expected = expected * factor
+        assert vanishing_poly(A) == expected
+        i = rng.randrange(len(A))
+        others = Poly.one(field)
+        for factor in factors[:i] + factors[i + 1 :]:
+            others = others * factor
+        assert lagrange_term(A, A[i]) == others
 
 
 # ---- multivariate polynomials ------------------------------------------------------
@@ -532,20 +590,48 @@ def random_code_rows(rng, field, nrows, ncols):
 
 
 def assert_packed_matches_per_entry(field, rows, ncols):
-    for kernel, reference in ((_echelon_vals, _echelon_entries), (_rref_vals, _rref_entries)):
-        got, want = [list(row) for row in rows], [list(row) for row in rows]
-        assert kernel(field, got, ncols) == reference(field, want, ncols)
-        assert got == want
+    """The packed kernel, and the kernel linalg picks for the shape, give
+    the pivots and rows of the per-entry elimination, forward and reduced."""
+    for reduce, kernel, reference in (
+        (False, _echelon_vals, _echelon_entries),
+        (True, _rref_vals, _rref_entries),
+    ):
+        want = [list(row) for row in rows]
+        pivots = reference(field, want, ncols)
+        for run in (kernel, lambda f, r, c: f.packed_echelon(r, c, reduce)):
+            got = [list(row) for row in rows]
+            assert run(field, got, ncols) == pivots
+            assert got == want
+
+
+# Shapes whose path the per-field packing rule changed: two-row and square
+# matrices over primes, small ones over GF(2^8).
+RULE_SHAPES = ((2, 8), (2, 16), (2, 32), (4, 8), (8, 8), (12, 12), (24, 24))
+
+
+def straddling_ncols(rng, field, nrows, spread):
+    """A column count within ``spread`` of the field's own packing
+    crossover for ``nrows`` rows (``Field.packs_echelon``), or any count up
+    to 64 where no width up to 64 packs."""
+    cross = next((c for c in range(1, 65) if field.packs_echelon(nrows, c)), None)
+    if cross is None:
+        return rng.randrange(1, 65)
+    return rng.randrange(max(1, cross - spread), cross + spread)
 
 
 def check_packed_elimination(rng, fields):
+    for field in fields:
+        for nrows, ncols in RULE_SHAPES:
+            rows = random_code_rows(rng, field, nrows, ncols)
+            assert_packed_matches_per_entry(field, rows, ncols)
     sides = [0, 0]
     for _ in range(CASES):
         field = rng.choice(fields)
-        ncols = rng.randrange(_PACKED_MIN_COLS - 12, _PACKED_MIN_COLS + 25)
-        rows = random_code_rows(rng, field, rng.randrange(0, 21), ncols)
+        nrows = rng.randrange(0, 25)
+        ncols = straddling_ncols(rng, field, nrows, 12)
+        rows = random_code_rows(rng, field, nrows, ncols)
         assert_packed_matches_per_entry(field, rows, ncols)
-        sides[ncols >= _PACKED_MIN_COLS] += 1
+        sides[field.packs_echelon(nrows, ncols)] += 1
     assert min(sides) >= CASES // 4
 
 
@@ -562,7 +648,7 @@ def test_packed_worst_case_slots_match_per_entry():
     # these fields to its worst case, forward and in back-substitution
     for field in PACKED_FIELDS:
         for nrows in range(1, 25):
-            for ncols in (_PACKED_MIN_COLS, _PACKED_MIN_COLS + nrows % 7 + 1):
+            for ncols in (32, 33 + nrows % 7):
                 for build in (forward_worst_case, backward_worst_case):
                     assert_packed_matches_per_entry(field, build(field.p, nrows, ncols), ncols)
 
@@ -587,21 +673,25 @@ def check_packed_nullspace_and_intersection(rng, fields):
     for case in range(CASES):
         field = rng.choice(fields)
         if case % 2:
-            ncols = rng.randrange(_PACKED_MIN_COLS - 8, _PACKED_MIN_COLS + 13)
-            vals = random_code_rows(rng, field, rng.randrange(0, 11), ncols)
+            nrows = rng.randrange(0, 11)
+            ncols = straddling_ncols(rng, field, nrows, 8)
+            vals = random_code_rows(rng, field, nrows, ncols)
             m = Matrix.from_ints(field, vals, ncols)
             assert _nullspace_vals(field, [list(row) for row in vals], ncols) == (
                 nullspace_reference(m.rows, ncols)
             )
         else:
-            # the Zassenhaus matrix is 2 * ncols wide
-            ncols = rng.randrange(_PACKED_MIN_COLS // 2 - 4, _PACKED_MIN_COLS // 2 + 9)
-            u_vals = random_code_rows(rng, field, rng.randrange(0, 9), ncols)
+            # the Zassenhaus matrix is 2 * ncols wide, with a row per row
+            # of U and of W
+            nu, nw = rng.randrange(0, 9), rng.randrange(0, 9)
+            nrows = nu + nw
+            ncols = max(1, straddling_ncols(rng, field, nrows, 8) // 2)
+            u_vals = random_code_rows(rng, field, nu, ncols)
             u = Matrix.from_ints(field, u_vals, ncols)
             if rng.random() < 0.5:
                 w = u.nullspace()  # the dual, as the LCD oracle pairs them
             else:
-                w_vals = random_code_rows(rng, field, rng.randrange(0, 9), ncols)
+                w_vals = random_code_rows(rng, field, nw, ncols)
                 # plant a shared row half the time
                 if u_vals and w_vals and rng.random() < 0.5:
                     w_vals[0] = list(u_vals[-1])
@@ -612,8 +702,9 @@ def check_packed_nullspace_and_intersection(rng, fields):
             want = zassenhaus_reference(u, w)
             assert got == [[x.val for x in row] for row in want]
             meets += bool(got)
+            nrows = u.nrows + w.nrows
             ncols *= 2
-        sides[ncols >= _PACKED_MIN_COLS] += 1
+        sides[field.packs_echelon(nrows, ncols)] += 1
     assert min(sides) >= CASES // 4 and meets >= 50
 
 
@@ -631,21 +722,26 @@ def test_packed_products_match_dot_reference():
     for case in range(CASES):
         field = rng.choice(PACKED_FIELDS + CHAR2_FIELDS)
         dot = field.dot
-        width = rng.randrange(1, 2 * _PACKED_MIN_WIDTH + 9)
+        # straddle the field's own crossover width (Field.packs_matmul)
+        cross = next(w for w in range(1, 65) if field.packs_matmul(w))
+        width = rng.randrange(1, 2 * cross + 1)
         inner = rng.randrange(0, 129)
         a_rows = random_code_rows(rng, field, rng.randrange(0, 13), inner)
         if case % 2:
             b_cols = random_code_rows(rng, field, width, inner)
             want = [[dot(row, col) for col in b_cols] for row in a_rows]
             assert _matmul_vals(field, a_rows, b_cols) == want
+            assert field.packed_matmul(a_rows, zip(*b_cols), width) == want
             a = Matrix._from_vals(field, a_rows, inner)
             b = Matrix._from_vals(field, zip(*b_cols), width)
             assert (a @ b).vals == tuple(map(tuple, want))
         else:
             # the Gram matrix of a width x inner generator
             rows = random_code_rows(rng, field, width, inner)
-            assert _gram_vals(field, rows) == [[dot(r1, r2) for r2 in rows] for r1 in rows]
-        sides[width >= _PACKED_MIN_WIDTH] += 1
+            want = [[dot(r1, r2) for r2 in rows] for r1 in rows]
+            assert _gram_vals(field, rows) == want
+            assert field.packed_matmul(rows, zip(*rows), width) == want
+        sides[field.packs_matmul(width)] += 1
     assert min(sides) >= CASES // 4
 
 

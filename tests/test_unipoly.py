@@ -1,17 +1,25 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from cartcodes import (
     GF,
     NEG_INF,
     FieldMismatchError,
+    InconsistencyError,
     NotCoprimeError,
     Poly,
+    UnivariateLcdAnalysis,
+    associated_poly_univariate,
     eea_sequence,
     formal_derivative,
     interpolate,
     lagrange_term,
     vanishing_poly,
 )
+from cartcodes.lcd import PointSetData
 
 F7 = GF(7)
 F2 = GF(2)
@@ -57,8 +65,6 @@ def test_divmod_examples():
 
 
 def test_divmod_identity_random():
-    import random
-
     rng = random.Random(1)
     for _ in range(300):
         a = P(F7, *(rng.randrange(7) for _ in range(rng.randrange(1, 8))))
@@ -128,8 +134,6 @@ def test_interpolate():
 
 
 def test_interpolate_uniqueness():
-    import random
-
     rng = random.Random(2)
     xs = els(F7, 0, 2, 3, 6)
     for _ in range(100):
@@ -193,6 +197,68 @@ def test_eea_rejects_bad_inputs():
     with pytest.raises(NotCoprimeError) as err:
         eea_sequence(L, vanishing_poly(els(F7, 0, 1)))
     assert err.value.gcd == vanishing_poly(els(F7, 0, 1))
+
+
+# SHA-256 of eea_sequence on 60 seeded (L, H) pairs per field, captured
+# before the Euclidean kernel stopped computing the h-side (see
+# eea_digest); every step, quotient and Bezout row must stay the same.
+EEA_DIGESTS = {
+    (7, 1): "0f9891cc65ad48f07570744d21ccfcf2219085173d9b11f239d7cc969e67f05e",
+    (3, 2): "e2d86bbc10ebb3e6ce8d9d77d825d058f66d687bdfb99220c82d7cb7f8f70721",
+    (2, 8): "8cdadead5248ff2304eb55aaedf3098be875c9e68742b2864eb62dcc660f068a",
+    (2**31 - 1, 1): "5230c10b7da4dea6c4f6be8838c25c9746bf475ca08fbafa322c250d0e32e5d1",
+}
+
+
+def eea_digest(field, seed, cases):
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(cases):
+        n = rng.randrange(1, min(field.order, 16) + 1)
+        points = [field.from_int(c) for c in rng.sample(range(field.order), n)]
+        scalars = [field.from_int(rng.randrange(1, field.order)) for _ in range(n)]
+        result = eea_sequence(vanishing_poly(points), associated_poly_univariate(points, scalars))
+        rows = [
+            [s.index, s.remainder.vals, None if s.quotient is None else s.quotient.vals,
+             s.bezout_h.vals, s.bezout_f.vals]
+            for s in result.steps
+        ]
+        digest.update(json.dumps([rows, result.final_constant.val]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("p, e", sorted(EEA_DIGESTS))
+def test_eea_sequence_matches_captured_results(p, e):
+    assert eea_digest(GF(p, e), 0xEEA0 + p + e, 60) == EEA_DIGESTS[p, e]
+
+
+def test_verdict_path_checks_the_bezout_degree_law(monkeypatch):
+    # The analysis keeps the f-side of the Bezout data to check deg f_i on
+    # every row: a kernel that corrupts any one f_i must be caught there.
+    import cartcodes.unipoly as unipoly_module
+
+    F13 = GF(13)
+    A = els(F13, 0, 2, 3, 5, 6, 8, 10, 11)
+    v = els(F13, 1, 3, 4, 1, 7, 2, 9, 5)
+    set_data = PointSetData(A)
+    rows = len(UnivariateLcdAnalysis(A, v, set_data=set_data).remainder_degrees) - 1
+    assert rows >= 3
+    original = unipoly_module._sub_mul_vals
+    for corrupt in range(rows):
+        calls = []
+
+        def corrupting(field, y, q, x):
+            out = original(field, y, q, x)
+            if len(calls) == corrupt:
+                out = out + [1]  # one degree too high
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(unipoly_module, "_sub_mul_vals", corrupting)
+        with pytest.raises(InconsistencyError, match="Bezout degree law"):
+            UnivariateLcdAnalysis(A, v, set_data=set_data)
+    monkeypatch.setattr(unipoly_module, "_sub_mul_vals", original)
+    UnivariateLcdAnalysis(A, v, set_data=set_data)
 
 
 def test_cross_field_poly_rejected():
