@@ -49,8 +49,9 @@ _MAX_ORDER_BITS = 130
 _SEARCH_BITS = 1 << 14
 
 # Packed rows are written through struct's little-endian items and read
-# through memoryview casts to the native items of the same codes, so hosts
-# whose native items differ in byte order or size do without them.
+# through memoryview casts to the native items of the same codes (slots past
+# 8 bytes through struct again), so hosts whose native items differ in byte
+# order or size do without them.
 _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _PACKED_ROWS = sys.byteorder == "little" and all(
     calcsize(code) == size for size, code in _SLOT_CODES.items()
@@ -171,9 +172,9 @@ def _find_modulus(field: "Field", e: int) -> tuple[int, ...]:
 
 # --- packed rows ----------------------------------------------------------
 #
-# Prime fields hold a row as one integer with a slot of 8, 16, 32, 64 or
-# 128 bits per entry, wide enough that the sums a kernel forms never carry
-# out of a slot, and reduce mod p only when a row is unpacked.  Tabled
+# Prime fields hold a row as one integer with a slot of 1, 2, 4, 8, 9, 10,
+# 12 or 16 bytes per entry, the narrowest that the sums a kernel forms never
+# carry out of, and reduce mod p only when a row is unpacked.  Tabled
 # fields of characteristic 2 hold a row as one byte per entry: their sums
 # are XOR, which never carries, and a row times a constant is one
 # ``bytes.translate`` through that constant's multiplication table.
@@ -183,28 +184,40 @@ def _slot_layout(p: int, bound: int, ncols: int):
     """The packing of GF(p) rows of ``ncols`` codes into integers whose
     slots hold values up to ``bound`` without carrying.
 
+    A slot is the smallest native item of 1, 2, 4 or 8 bytes that holds
+    ``bound``; past 64 bits it is an 8-byte item and the smallest item that
+    holds the rest, 9, 10, 12 or 16 bytes in all.  Codes are below 2^64, so
+    packing leaves that second item zero.
+
     Returns ``(w, pack, unpack)``: the slot width in bits; ``pack(*row)``,
     the little-endian bytes that ``int.from_bytes(..., "little")`` turns
     into a packed row, column c at bit ``c * w``; and ``unpack(y, n, a)``,
     the n lowest slots of y, times a, reduced mod p.
     """
-    size = next(s for s in (1, 2, 4, 8, 16) if 8 * s >= bound.bit_length())
-    # One item per slot; a 16-byte slot is an 8-byte item and 8 pad bytes,
-    # as no slot is packed at 2^64 or above.
-    code = _SLOT_CODES[min(size, 8)]
-    pack = Struct("<" + (f"{ncols}{code}" if size <= 8 else "Q8x" * ncols)).pack
-    if size <= 8:
+    bits = bound.bit_length()
+    if bits <= 64:
+        size = _item_size(bits)
+        code = _SLOT_CODES[size]
+        pack = Struct(f"<{ncols}{code}").pack
 
         def unpack(y, n, a):
             return [v * a % p for v in memoryview(y.to_bytes(n * size, "little")).cast(code)]
 
     else:
+        rest = _item_size(bits - 64)
+        size = 8 + rest
+        pack = Struct("<" + f"Q{rest}x" * ncols).pack
+        split = Struct("<Q" + _SLOT_CODES[rest]).iter_unpack
 
         def unpack(y, n, a):
-            words = memoryview(y.to_bytes(16 * n, "little")).cast(code)
-            return [(lo | hi << 64) * a % p for lo, hi in zip(words[::2], words[1::2])]
+            return [(lo | hi << 64) * a % p for lo, hi in split(y.to_bytes(n * size, "little"))]
 
     return 8 * size, pack, unpack
+
+
+def _item_size(bits: int) -> int:
+    """Bytes in the smallest native item of ``bits`` bits or more."""
+    return next(s for s in _SLOT_CODES if 8 * s >= bits)
 
 
 def _packed_echelon(p: int, rows: list[list[int]], ncols: int, reduce: bool) -> list[int]:

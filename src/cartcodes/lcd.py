@@ -197,6 +197,18 @@ class UnivariateLcdAnalysis:
         the remainder degrees of g_1, ..., g_{t+1}."""
         return frozenset(self.remainder_degrees)
 
+    @functools.cached_property
+    def _inside_gaps(self) -> frozenset:
+        """The values of n - k with deg g_i < n - k < deg g_{i-1} for some
+        row (deg g_0 = n): the gap rule, worked out once per analysis, on
+        the first :meth:`is_lcd` call."""
+        degs = [self.n] + self.remainder_degrees
+        return frozenset(
+            itertools.chain.from_iterable(
+                range(lo + 1, hi) for hi, lo in zip(degs, degs[1:])
+            )
+        )
+
     def is_lcd(self, k: int) -> bool:
         """Gap rule: LCD iff no row has deg g_i < n - k < deg g_{i-1}.
 
@@ -207,9 +219,7 @@ class UnivariateLcdAnalysis:
             raise ValueError("degree k must be positive")
         if k > self.n:
             return True  # full-space code; the dual is zero
-        r = self.n - k
-        degs = [self.n] + self.remainder_degrees
-        return all(hi <= r or lo >= r for hi, lo in zip(degs, degs[1:]))
+        return self.n - k not in self._inside_gaps
 
     def lcd_degrees(self) -> list[int]:
         """All k in 1..n giving an LCD code (k = n is the full space)."""
@@ -247,33 +257,35 @@ def is_lcd_univariate(
 def is_lcd_bruteforce(spec: CartesianSpec, code: LinearCode | None = None) -> LcdReport:
     """Decide LCD by linear algebra alone.
 
-    Runs both brute-force routes — rank of the Gram matrix G G^T, and an
-    explicit basis of the intersection of the code with its dual (the dual
-    realized as the nullspace of G) — and insists they agree.
+    Runs both brute-force routes and insists they agree on the dimension of
+    the hull, the intersection of the code with its dual, not only on
+    whether it is zero.  The Gram route reads it as k - rank(G G^T).  The
+    intersection route realizes the dual as the nullspace of G, whose
+    elimination leaves the reduced rows of G in place; it stacks those rows
+    and the dual's, n of them in all, and reads the hull dimension as
+    n - rank of the stack.  When the stack is singular it also runs the
+    Zassenhaus intersection, whose basis is the witness, and checks its
+    size too.
     """
     if code is None:
         code = generator_matrix(spec)
     G = code.generator
-    field = G.field
-    gram_lcd = (
-        len(_echelon_vals(field, _gram_vals(field, G.vals), G.nrows))
-        == code.dimension
-    )
-    parity = _nullspace_vals(field, [list(row) for row in G.vals], G.ncols)
-    inter = _intersection_vals(field, [list(row) for row in G.vals], parity, G.ncols)
-    intersection_lcd = not inter
-    if gram_lcd != intersection_lcd:
+    field, n = G.field, G.ncols
+    gram_hull = code.dimension - len(_echelon_vals(field, _gram_vals(field, G.vals), G.nrows))
+    rows = [list(row) for row in G.vals]
+    parity = _nullspace_vals(field, rows, n)
+    del rows[n - len(parity) :]  # the zero rows below the reduced form
+    rank, inter = _intersection_vals(field, rows, parity, n)
+    if not gram_hull == n - rank == len(inter):
         raise InconsistencyError(
-            f"Gram rank says lcd={gram_lcd} but intersection says "
-            f"lcd={intersection_lcd} for {spec!r}"
+            f"Gram rank says hull dimension {gram_hull} but intersection says "
+            f"{n - rank} (stack rank) and {len(inter)} (basis) for {spec!r}"
         )
     return LcdReport(
         spec=spec,
-        is_lcd=intersection_lcd,
-        method="gram" if intersection_lcd else "intersection",
-        witness=None
-        if intersection_lcd
-        else Matrix._from_vals(field, inter, G.ncols),
+        is_lcd=not inter,
+        method="intersection" if inter else "gram",
+        witness=Matrix._from_vals(field, inter, n) if inter else None,
         trivial_range=spec.trivial_range,
     )
 

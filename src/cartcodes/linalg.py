@@ -14,11 +14,20 @@ a field computes is known to ``field.py`` alone.
 
 Elimination comes in two depths.  ``_echelon_vals`` eliminates forward
 only (monic pivots, cleared below) and is all a rank needs: ``rank``,
-``is_nonsingular``, ``row_space_contains`` and the Gram route of the LCD
-oracle use it.  ``_rref_vals`` adds one back-substitution pass for the
-reduced form that ``rref``, ``nullspace`` and ``inverse`` return.  The
-Zassenhaus intersection eliminates forward and reduces only the rows that
-carry its basis.
+``is_nonsingular``, ``row_space_contains``, the Gram route of the LCD
+oracle and the first step of an intersection use it.  ``_rref_vals`` adds
+one back-substitution pass for the reduced form that ``rref``,
+``nullspace`` and ``inverse`` return.
+
+An intersection U ∩ W first ranks the stack [U; W], n columns wide: when
+its rows are independent the intersection is {0}.  That is the answer on
+most codes the LCD oracle checks, whose stack of code and dual rows is
+n x n.  Only a singular stack, or one of more than n rows, goes on to the
+Zassenhaus matrix [W | 0; U | U], 2n columns wide, which is eliminated
+forward, with only the rows that carry its basis reduced.  Independent
+rows have rank [U; W] = rank U + rank W, so by Grassmann's formula,
+dim(U ∩ W) = rank U + rank W - rank [U; W], the first step returns what
+Zassenhaus would.
 
 Each depth has two paths with the same pivots and rows, chosen once per
 call by the field from the matrix's shape: linalg only asks
@@ -181,25 +190,38 @@ def _nullspace_vals(field: Field, rows: list[list[int]], ncols: int) -> list[lis
 
 def _intersection_vals(
     field: Field,
-    u_rows: list[list[int]],
-    w_rows: list[list[int]],
+    u_rows: Sequence[Sequence[int]],
+    w_rows: Sequence[Sequence[int]],
     ncols: int,
-) -> list[list[int]]:
-    """Zassenhaus intersection basis on integer codes, in reduced form.
+) -> tuple[int, list[list[int]]]:
+    """The rank of the stack [U; W] and a basis of U ∩ W in reduced form,
+    on integer codes.
 
-    Forward elimination of [W | 0; U | U]: the rows whose pivot lies in the
-    right half carry a basis of the intersection there, and only those
-    halves are reduced.  The W rows come first, so their pivots touch the
-    left half alone.
+    Rank first: forward elimination of the ``ncols``-wide stack alone, U
+    first, so that a U in echelon form, as the LCD oracle passes it, takes
+    no updates.  At full row rank, possible only when len(U) + len(W) <=
+    ncols, the rows are independent and U ∩ W = {0}.  Otherwise
+    Zassenhaus: forward elimination of [W | 0; U | U], whose left half is
+    the stack, so its pivots there count the rank; the rows whose pivot
+    lies in the right half carry a basis of the intersection there, and
+    only those halves are reduced.  The W rows come first, so their pivots
+    touch the left half alone.  The operands are left as they are.
     """
-    if not u_rows or not w_rows:
-        return []
-    rows = [row + [0] * ncols for row in w_rows]
-    rows += [row + row for row in u_rows]
+    nrows = len(u_rows) + len(w_rows)
+    rank = None
+    if nrows <= ncols:
+        rank = len(_echelon_vals(field, [*map(list, u_rows), *map(list, w_rows)], ncols))
+        if rank == nrows:
+            return rank, []
+    zeros = [0] * ncols
+    rows = [[*row, *zeros] for row in w_rows]
+    rows += [[*row, *row] for row in u_rows]
     pivots = _echelon_vals(field, rows, 2 * ncols)
     basis = [rows[r][ncols:] for r, c in enumerate(pivots) if c >= ncols]
     _rref_vals(field, basis, ncols)
-    return basis
+    if rank is None:
+        rank = len(pivots) - len(basis)
+    return rank, basis
 
 
 class Matrix:
@@ -442,14 +464,15 @@ class Matrix:
 def subspace_intersection(U: Matrix, W: Matrix) -> Matrix:
     """Basis rows of row-space(U) ∩ row-space(W).
 
-    Zassenhaus: eliminate the stacked block matrix [W | 0; U | U]; rows
-    whose left half vanished carry an intersection basis in their right
-    half, returned in reduced row echelon form (unique for the subspace).
+    The stacked rows [U; W] are eliminated first: when they are
+    independent the intersection is {0}.  Otherwise Zassenhaus: eliminate
+    the block matrix [W | 0; U | U]; rows whose left half vanished carry an
+    intersection basis in their right half, returned in reduced row echelon
+    form (unique for the subspace), so either way the result is that of
+    Zassenhaus alone.
     """
     field = U._check_field(W, "intersect")
     if U.ncols != W.ncols:
         raise ValueError("subspaces live in different ambient dimensions")
-    basis = _intersection_vals(
-        field, [list(row) for row in U.vals], [list(row) for row in W.vals], U.ncols
-    )
+    basis = _intersection_vals(field, U.vals, W.vals, U.ncols)[1]
     return Matrix._from_vals(field, basis, U.ncols)

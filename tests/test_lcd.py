@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 
 import pytest
 
+import cartcodes.lcd
 from cartcodes import (
     GF,
     CartesianSet,
     CartesianSpec,
+    InconsistencyError,
     MPoly,
     SearchRecord,
     SearchTruncation,
@@ -115,6 +118,27 @@ def test_is_lcd_follows_gap_rule_on_faulty_degrees():
     assert analysis.lcd_degrees() == [6]
 
 
+def test_is_lcd_lookup_matches_pairwise_gap_rule():
+    # is_lcd works the gap rule out once per analysis; on any degree list,
+    # monotone or not, it must give the pairwise rule for every k
+    rng = random.Random(0x6A9)
+    field = GF(101)
+    for case in range(1000):
+        n = rng.randrange(2, 31)
+        points = [field.element(v) for v in rng.sample(range(101), n)]
+        analysis = UnivariateLcdAnalysis(points, ones(field, n))
+        if case % 2:
+            count = rng.randrange(1, n + 2)
+            degrees = [rng.randrange(n + 2) for _ in range(count)]
+        else:
+            degrees = sorted(rng.sample(range(1, n), rng.randrange(n - 1)), reverse=True) + [0]
+        analysis.remainder_degrees = degrees
+        pairs = list(zip([n] + degrees, degrees))
+        for k in range(1, n + 2):
+            r = n - k
+            assert analysis.is_lcd(k) == all(hi <= r or lo >= r for hi, lo in pairs)
+
+
 def test_is_lcd_univariate_reference_verdicts():
     assert is_lcd_univariate(els(F7, 0, 1, 2), ones(F7, 3), 2).is_lcd
     assert not is_lcd_univariate(els(F7, 0, 1, 2), els(F7, 1, 1, 2), 2).is_lcd
@@ -155,6 +179,30 @@ def test_bruteforce_full_space_is_lcd():
     spec = CartesianSpec.from_ints(F7, [[0, 1, 2]], [1, 1, 1], 3)
     report = is_lcd_bruteforce(spec)
     assert report.is_lcd and report.trivial_range and report.witness is None
+
+
+def test_bruteforce_compares_hull_dimensions(monkeypatch):
+    # Over GF(2^e) every v_i^2 = 1 / L'(a_i) has a root; then H = 1 and the
+    # degree-k hull has dimension min(k, n - k), here 2
+    field = GF(2, 4)
+    points = [field._get(v) for v in range(1, 7)]
+    scalars = []
+    for a in points:
+        target = math.prod((a - b for b in points if b != a), start=field.one).inverse()
+        scalars.append(next(x for x in field.elements() if x * x == target))
+    spec = CartesianSpec.univariate(points, scalars, 2)
+    assert is_lcd_bruteforce(spec).witness.nrows == 2
+    # a kernel that drops one basis row still says "not LCD", so only the
+    # dimension comparison sees it
+    kernel = cartcodes.lcd._intersection_vals
+
+    def drop_one_row(*args):
+        rank, basis = kernel(*args)
+        return rank, basis[:-1]
+
+    monkeypatch.setattr(cartcodes.lcd, "_intersection_vals", drop_one_row)
+    with pytest.raises(InconsistencyError, match="hull dimension 2 .* 1 .basis"):
+        is_lcd_bruteforce(spec)
 
 
 def test_eea_and_bruteforce_agree_small_sweep():

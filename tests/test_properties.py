@@ -6,6 +6,7 @@ import itertools
 import pickle
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartcodes import (
@@ -36,7 +37,8 @@ from cartcodes import (
     subspace_intersection,
     vanishing_poly,
 )
-from cartcodes.field import _divmod_vals, _trim
+from cartcodes import linalg
+from cartcodes.field import _divmod_vals, _slot_layout, _trim
 from cartcodes.lcd import LCD, PointSetData
 from cartcodes.linalg import (
     _echelon_entries,
@@ -653,6 +655,42 @@ def test_packed_worst_case_slots_match_per_entry():
                     assert_packed_matches_per_entry(field, build(field.p, nrows, ncols), ncols)
 
 
+# Over GF(2^31 - 1) an elimination of up to 1023 rows, and a product of
+# inner dimension up to 1024, packs 9-byte slots; one more takes 10.  Each
+# worst case below fills the slots to within 2^64 of that boundary, and its
+# result is known in closed form, so no per-entry reference is needed.
+
+
+@pytest.mark.slow
+def test_worst_case_elimination_slots_on_both_sides_of_nine_bytes():
+    field = GF(2**31 - 1)
+    p = field.p
+    for nrows, width in ((1023, 72), (1024, 80)):
+        ncols = nrows + 1
+        assert _slot_layout(p, p + (nrows + 1) * p * p, ncols)[0] == width
+        rows = forward_worst_case(p, nrows, ncols)
+        assert field.packed_echelon(rows, ncols, False) == list(range(nrows))
+        # each pivot row is [0.., 0, 1, -1, ..., -1]
+        assert rows == [[0] * i + [1] + [p - 1] * (ncols - i - 1) for i in range(nrows)]
+        rows = backward_worst_case(p, nrows, ncols)
+        assert field.packed_echelon(rows, ncols, True) == list(range(nrows))
+        # each reduced row is [0.., 1 at i, 0.., -1]
+        assert rows == [[int(i == j) for j in range(nrows)] + [p - 1] for i in range(nrows)]
+
+
+def test_worst_case_product_slots_on_both_sides_of_nine_bytes():
+    field = GF(2**31 - 1)
+    p = field.p
+    for inner, width in ((1024, 72), (1025, 80)):
+        assert _slot_layout(p, inner * (p - 1) ** 2, 8)[0] == width
+        a_rows = [[p - 1] * inner, list(range(inner))]
+        b_cols = [[p - 1] * inner] * 7 + [list(range(inner, 0, -1))]
+        want = [[field.dot(row, col) for col in b_cols] for row in a_rows]
+        assert want[0][0] == inner % p
+        assert _matmul_vals(field, a_rows, b_cols) == want
+        assert field.packed_matmul(a_rows, zip(*b_cols), 8) == want
+
+
 def nullspace_reference(rows, ncols):
     """Kernel basis read off the Gauss-Jordan reference, one vector per
     free column, as integer codes."""
@@ -696,11 +734,12 @@ def check_packed_nullspace_and_intersection(rng, fields):
                 if u_vals and w_vals and rng.random() < 0.5:
                     w_vals[0] = list(u_vals[-1])
                 w = Matrix.from_ints(field, w_vals, ncols)
-            got = _intersection_vals(
+            rank, got = _intersection_vals(
                 field, [list(row) for row in u.vals], [list(row) for row in w.vals], ncols
             )
             want = zassenhaus_reference(u, w)
             assert got == [[x.val for x in row] for row in want]
+            assert rank == u.vstack(w).rank()
             meets += bool(got)
             nrows = u.nrows + w.nrows
             ncols *= 2
@@ -714,6 +753,61 @@ def test_packed_nullspace_and_intersection_match_references():
 
 def test_char2_nullspace_and_intersection_match_references():
     check_packed_nullspace_and_intersection(random.Random(0xC2B5), CHAR2_FIELDS)
+
+
+def test_rank_first_intersection_matches_zassenhaus_reference(monkeypatch):
+    # _intersection_vals eliminates the stack [U; W] first and runs the
+    # 2 * ncols wide Zassenhaus elimination only when the stack is singular
+    # or has more rows than columns; the result is Zassenhaus's either way
+    wide = []
+
+    def counting_echelon(field, rows, ncols):
+        wide.append(ncols)
+        return _echelon_vals(field, rows, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon_vals", counting_echelon)
+    rng = random.Random(0x2F1A)
+    fields = list(dict.fromkeys(LINALG_FIELDS + PACKED_FIELDS + CHAR2_FIELDS))
+    kinds = [0] * 5
+    sides = [0, 0]
+    for case in range(CASES):
+        field = rng.choice(fields)
+        kind = case % 5
+        nu, nw = rng.randrange(0, 8), rng.randrange(0, 8)
+        if kind == 1:  # an empty side
+            nu, nw = (0, nw) if rng.random() < 0.5 else (nu, 0)
+        nrows = nu + nw
+        if kind == 2:  # more rows than columns
+            nrows = max(nrows, 2)
+            nu, nw = nrows - nrows // 2, nrows // 2
+            ncols = rng.randrange(1, nrows)
+        elif field.packed_echelon is None:  # no crossover to straddle
+            ncols = rng.randrange(max(nrows, 1), nrows + 5)
+        else:
+            ncols = max(nrows, 1, straddling_ncols(rng, field, nrows, 4))
+        u_vals = random_code_rows(rng, field, nu, ncols)
+        w_vals = random_code_rows(rng, field, nw, ncols)
+        if kind == 3 and nu and nw:  # a planted shared row
+            a, b = rng.randrange(1, field.order), rng.randrange(field.order)
+            w_vals[0] = [
+                field.add(field.mul(a, x), field.mul(b, y))
+                for x, y in zip(u_vals[-1], u_vals[0])
+            ]
+        elif kind == 4 and nu:  # a code, as its reduced rows, and its dual
+            w_vals = _nullspace_vals(field, u_vals, ncols)
+            del u_vals[ncols - len(w_vals) :]
+        u = Matrix.from_ints(field, u_vals, ncols)
+        w = Matrix.from_ints(field, w_vals, ncols)
+        stack_rank = u.vstack(w).rank()
+        del wide[:]
+        rank, got = _intersection_vals(field, u_vals, w_vals, ncols)
+        assert got == [[x.val for x in row] for row in zassenhaus_reference(u, w)]
+        assert rank == stack_rank
+        assert wide.count(2 * ncols) == (stack_rank < u.nrows + w.nrows)
+        assert (u.vals, w.vals) == (tuple(map(tuple, u_vals)), tuple(map(tuple, w_vals)))
+        kinds[kind] += bool(got) if kind > 2 else 1  # meets, where planted
+        sides[field.packs_echelon(nrows, ncols)] += kind != 2
+    assert min(kinds[:4]) >= 50 and kinds[4] >= 10 and min(sides) >= CASES // 8
 
 
 def test_packed_products_match_dot_reference():
