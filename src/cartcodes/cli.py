@@ -14,6 +14,7 @@ import sys
 from typing import Sequence
 
 from .codes import (
+    DEFAULT_BRUTE_BUDGET,
     CartesianSpec,
     dimension_formula,
     dual_spec,
@@ -109,23 +110,33 @@ def parse_scalars(field: Field, cset: CartesianSet, text: str):
 
 
 def parse_range(text: str, flag: str) -> list[int]:
+    """N or LO:HI, at most ``DEFAULT_BRUTE_BUDGET`` values."""
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError("empty range")
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        else:
+            lo = hi = int(text)
     except ValueError as exc:
         raise UsageError(f"{flag}: expected N or LO:HI, got {text!r}") from exc
+    if hi - lo >= DEFAULT_BRUTE_BUDGET:
+        raise UsageError(
+            f"{flag}: {text!r} spans {hi - lo + 1} values, more than {DEFAULT_BRUTE_BUDGET}"
+        )
+    return list(range(lo, hi + 1))
 
 
 def parse_scalar_policy(text: str) -> str:
-    """'ones', 'exhaustive', or 'random:N'."""
+    """'ones', 'exhaustive', or 'random:N' with N >= 1."""
     kind, _, count = text.partition(":")
-    if text in ("ones", "exhaustive") or (kind == "random" and count.isdigit()):
+    if text in ("ones", "exhaustive"):
         return text
+    if kind == "random" and count.isdecimal():
+        if int(count) >= 1:
+            return text
+        raise UsageError(f"--scalar-policy: random:N needs N >= 1, got {text!r}")
     raise UsageError(
         f"--scalar-policy: expected 'ones', 'exhaustive' or 'random:N', got {text!r}"
     )

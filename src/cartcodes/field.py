@@ -663,17 +663,13 @@ class Field:
         ))
 
     def _inv_val(self, a: int) -> int:
-        # Extended Euclid of a's coefficient vector and the modulus over
-        # GF(p), keeping s with s * a = r mod the modulus; r ends a nonzero
-        # constant, since the modulus is irreducible.
-        base = self._base
-        r0, r1 = list(self.modulus), _trim(list(self._coeff_vector(a)))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            q, r = _divmod_vals(base, r0, r1)
-            r0, r1, s0, s1 = r1, r, s1, _sub_mul_vals(base, s0, q, s1)
-        base.scale(s1, base.inv(r1[0]), 0)
-        return self._pack(s1)
+        # The Euclidean sequence of the irreducible modulus and a ends in 1,
+        # so its last f-side row f has f * a = 1 mod the modulus.  Imported
+        # here, as unipoly imports this module.
+        from .unipoly import _eea_vals
+
+        coeffs = _trim(list(self._coeff_vector(a)))
+        return self._pack(_eea_vals(self._base, list(self.modulus), coeffs)[2][-1])
 
     def _build_tables(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """Flat integer tables of an extension field: addition and

@@ -43,8 +43,8 @@ from .field import Field, FieldElement, _trim
 from .linalg import (
     Matrix,
     _echelon_vals,
-    _gram_vals,
     _intersection_vals,
+    _matmul_vals,
     _nullspace_vals,
 )
 from .multipoly import CartesianSet, MPoly, lagrange_point
@@ -271,7 +271,8 @@ def is_lcd_bruteforce(spec: CartesianSpec, code: LinearCode | None = None) -> Lc
         code = generator_matrix(spec)
     G = code.generator
     field, n = G.field, G.ncols
-    gram_hull = code.dimension - len(_echelon_vals(field, _gram_vals(field, G.vals), G.nrows))
+    gram = _matmul_vals(field, G.vals, G.vals)
+    gram_hull = code.dimension - len(_echelon_vals(field, gram, G.nrows))
     rows = [list(row) for row in G.vals]
     parity = _nullspace_vals(field, rows, n)
     del rows[n - len(parity) :]  # the zero rows below the reduced form
@@ -405,6 +406,42 @@ class SearchTruncation:
         return {"truncated": True, "examined": self.examined, "budget": self.budget}
 
 
+def _combinations(q: int, size: int) -> Iterator[tuple[int, ...]]:
+    """``itertools.combinations(range(q), size)``, without building the pool."""
+    if size > q:
+        return
+    idx = list(range(size))
+    while True:
+        yield tuple(idx)
+        for i in reversed(range(size)):
+            if idx[i] != i + q - size:
+                break
+        else:
+            return
+        idx[i:] = range(idx[i] + 1, idx[i] + 1 + size - i)
+
+
+def _product(factor, repeat: int) -> Iterator[tuple]:
+    """``itertools.product(factor(), repeat=repeat)``, in the same order,
+    without building the factors: ``factor()`` is called afresh whenever a
+    position starts over."""
+    iters = [factor() for _ in range(repeat)]
+    done = object()
+    current = [next(it, done) for it in iters]
+    if any(item is done for item in current):
+        return
+    while True:
+        yield tuple(current)
+        for i in reversed(range(repeat)):
+            current[i] = next(iters[i], done)
+            if current[i] is not done:
+                break
+            iters[i] = factor()
+            current[i] = next(iters[i])
+        else:
+            return
+
+
 def _scalar_vectors(
     field: Field, n: int, policy: str, seed: int
 ) -> Iterator[tuple[FieldElement, ...]]:
@@ -412,17 +449,17 @@ def _scalar_vectors(
     if policy == "ones":
         yield (one,) * n
         return
-    nonzero = [e for e in field.elements() if e.val != 0]
+    q, get = field.order, field._get
     if policy == "exhaustive":
         # Quotient by global scaling: fix the first scalar to 1.
-        for tail in itertools.product(nonzero, repeat=n - 1):
+        for tail in _product(lambda: map(get, range(1, q)), n - 1):
             yield (one, *tail)
         return
     if policy.startswith("random:"):
         count = int(policy.split(":", 1)[1])
         rng = random.Random(f"{seed}:{n}:{field.order}")
         for _ in range(count):
-            yield (one, *(rng.choice(nonzero) for _ in range(n - 1)))
+            yield (one, *(get(rng.randrange(1, q)) for _ in range(n - 1)))
         return
     raise ValueError(f"unknown scalar policy {policy!r}")
 
@@ -443,20 +480,26 @@ def search_lcd(
     "exhaustive" mod global scaling, or "random:N" seeded).  One-dimensional
     candidates are decided by the Euclidean criterion, others by brute
     force.  The stream ends with a truncation marker if the budget runs out
-    before the enumeration does.
+    before the enumeration does.  Sets, grids and scalar vectors are
+    generated as they are reached, so the budget bounds the time and
+    memory over any field.
     """
     if m < 1:
         raise ValueError("need at least one component")
-    elements = field.elements()
+    get = field._get
+
+    def component_sets():
+        for size in sizes:
+            for combo in _combinations(field.order, size):
+                yield [get(v) for v in combo]
+
     examined = 0
-    component_choices = [
-        [list(combo) for size in sizes for combo in itertools.combinations(elements, size)]
-    ] * m
-    for grid_combo in itertools.product(*component_choices):
+    for grid_combo in _product(component_sets, m):
         grid = CartesianSet([list(comp) for comp in grid_combo])
         set_data = PointSetData(grid.components[0]) if m == 1 else None
-        analyses: dict[tuple, UnivariateLcdAnalysis] = {}
         for scalars in _scalar_vectors(field, grid.size, scalar_policy, seed):
+            if m == 1:
+                analysis = UnivariateLcdAnalysis(grid.components[0], scalars, set_data=set_data)
             for k in k_values:
                 if examined >= budget:
                     yield SearchTruncation(examined, budget)
@@ -464,12 +507,6 @@ def search_lcd(
                 examined += 1
                 spec = CartesianSpec(grid, scalars, k)
                 if m == 1:
-                    analysis = analyses.get(scalars)
-                    if analysis is None:
-                        analysis = UnivariateLcdAnalysis(
-                            grid.components[0], scalars, set_data=set_data
-                        )
-                        analyses[scalars] = analysis
                     report = is_lcd_univariate(
                         grid.components[0], scalars, k, analysis=analysis
                     )

@@ -12,12 +12,13 @@ directly; field elements appear only where a matrix is built from them or
 its entries are read out.  Each kernel has one body for every field: how
 a field computes is known to ``field.py`` alone.
 
-Elimination comes in two depths.  ``_echelon_vals`` eliminates forward
-only (monic pivots, cleared below) and is all a rank needs: ``rank``,
-``is_nonsingular``, ``row_space_contains``, the Gram route of the LCD
-oracle and the first step of an intersection use it.  ``_rref_vals`` adds
-one back-substitution pass for the reduced form that ``rref``,
-``nullspace`` and ``inverse`` return.
+Elimination has one entry, ``_echelon_vals(field, rows, ncols, reduce)``.
+Forward elimination alone (monic pivots, cleared below) is all a rank
+needs: ``rank``, ``is_nonsingular``, ``row_space_contains``, the Gram
+route of the LCD oracle and the first step of an intersection pass
+``reduce=False``.  ``reduce=True`` adds one back-substitution pass for the
+reduced form that ``rref``, ``nullspace``, ``inverse`` and an
+intersection's basis return.
 
 An intersection U ∩ W first ranks the stack [U; W], n columns wide: when
 its rows are independent the intersection is {0}.  That is the answer on
@@ -29,12 +30,12 @@ rows have rank [U; W] = rank U + rank W, so by Grassmann's formula,
 dim(U ∩ W) = rank U + rank W - rank [U; W], the first step returns what
 Zassenhaus would.
 
-Each depth has two paths with the same pivots and rows, chosen once per
-call by the field from the matrix's shape: linalg only asks
-``field.packs_echelon(nrows, ncols)``.  The per-entry kernels
-``_echelon_entries`` and ``_rref_entries`` update one entry at a time; the
-field's ``packed_echelon`` holds each row as one big integer, so a row
-update is one integer operation on it: a multiply-add over a prime field,
+The entry has two paths with the same pivots and rows, at either depth,
+chosen once per call by the field from the matrix's shape: linalg only
+asks ``field.packs_echelon(nrows, ncols)``.  The per-entry kernel
+``_echelon_entries`` updates one entry at a time; the field's
+``packed_echelon`` holds each row as one big integer, so a row update is
+one integer operation on it: a multiply-add over a prime field,
 a translation and an XOR over GF(2^e) with e <= 8.  Fields without packed
 rows never pack.  Per-entry time over packed time, forward / reduced, on
 random dense matrices (2-vCPU Xeon, Python 3.11; * marks the shapes the
@@ -75,26 +76,26 @@ from .errors import FieldMismatchError, SingularMatrixError
 from .field import Field, FieldElement
 
 
-def _echelon_vals(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
+def _echelon_vals(
+    field: Field, rows: list[list[int]], ncols: int, reduce: bool = False
+) -> list[int]:
     """In-place row echelon form on code rows; returns pivot cols.
 
-    Pivots are monic and cleared below only; rows past the last pivot end
-    zero.  Enough for a rank, and the forward sweep of :func:`_rref_vals`.
+    Pivots are monic and cleared below; rows past the last pivot end zero.
+    That is enough for a rank.  With ``reduce`` the pivots are cleared
+    above too, giving the reduced row echelon form.
     """
     if field.packs_echelon(len(rows), ncols):
-        return field.packed_echelon(rows, ncols, False)
-    return _echelon_entries(field, rows, ncols)
+        return field.packed_echelon(rows, ncols, reduce)
+    return _echelon_entries(field, rows, ncols, reduce)
 
 
-def _rref_vals(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
-    """In-place reduced row echelon form on code rows; returns pivot cols."""
-    if field.packs_echelon(len(rows), ncols):
-        return field.packed_echelon(rows, ncols, True)
-    return _rref_entries(field, rows, ncols)
-
-
-def _echelon_entries(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
-    """:func:`_echelon_vals` one entry at a time, through ``sub_mul``."""
+def _echelon_entries(
+    field: Field, rows: list[list[int]], ncols: int, reduce: bool = False
+) -> list[int]:
+    """:func:`_echelon_vals` one entry at a time, through ``sub_mul``.  With
+    ``reduce`` one back-substitution pass follows, from the last pivot up,
+    so each pivot row is already clear of the later pivot columns."""
     inv, sub_mul, scale = field.inv, field.sub_mul, field.scale
     pivots = []
     r = 0
@@ -119,24 +120,15 @@ def _echelon_entries(field: Field, rows: list[list[int]], ncols: int) -> list[in
         r += 1
         if r == nrows:
             break
-    return pivots
-
-
-def _rref_entries(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
-    """:func:`_rref_vals` one entry at a time: the echelon form, then one
-    back-substitution pass from the last pivot up, so each pivot row is
-    already clear of the later pivot columns.
-    """
-    pivots = _echelon_entries(field, rows, ncols)
-    sub_mul = field.sub_mul
-    for r in range(len(pivots) - 1, 0, -1):
-        c = pivots[r]
-        tail = rows[r][c + 1 :]
-        for other in rows[:r]:
-            factor = other[c]
-            if factor:
-                other[c] = 0
-                sub_mul(other, factor, tail, c + 1)
+    if reduce:
+        for r in range(len(pivots) - 1, 0, -1):
+            c = pivots[r]
+            tail = rows[r][c + 1 :]
+            for other in rows[:r]:
+                factor = other[c]
+                if factor:
+                    other[c] = 0
+                    sub_mul(other, factor, tail, c + 1)
     return pivots
 
 
@@ -164,14 +156,9 @@ def _matmul_vals(
     return gram
 
 
-def _gram_vals(field: Field, rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """rows @ rows^T on integer codes."""
-    return _matmul_vals(field, rows, rows)
-
-
 def _nullspace_vals(field: Field, rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis rows (integer codes) of the right kernel; consumes ``rows``."""
-    pivots = _rref_vals(field, rows, ncols)
+    pivots = _echelon_vals(field, rows, ncols, reduce=True)
     pivot_set = set(pivots)
     neg = field.neg
     basis = []
@@ -218,7 +205,7 @@ def _intersection_vals(
     rows += [[*row, *row] for row in u_rows]
     pivots = _echelon_vals(field, rows, 2 * ncols)
     basis = [rows[r][ncols:] for r, c in enumerate(pivots) if c >= ncols]
-    _rref_vals(field, basis, ncols)
+    _echelon_vals(field, basis, ncols, reduce=True)
     if rank is None:
         rank = len(pivots) - len(basis)
     return rank, basis
@@ -336,7 +323,7 @@ class Matrix:
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row echelon form, rank, and pivot columns."""
         vals = [list(row) for row in self.vals]
-        pivots = _rref_vals(self.field, vals, self.ncols)
+        pivots = _echelon_vals(self.field, vals, self.ncols, reduce=True)
         return (
             Matrix._from_vals(self.field, vals, self.ncols),
             len(pivots),
@@ -364,7 +351,7 @@ class Matrix:
             list(vals) + [int(i == j) for j in range(n)]
             for i, vals in enumerate(self.vals)
         ]
-        pivots = _rref_vals(self.field, rows, 2 * n)
+        pivots = _echelon_vals(self.field, rows, 2 * n, reduce=True)
         # A pivot escaping into the identity block means the left block is
         # rank-deficient ([M | I] itself always has n pivots).
         if len(pivots) < n or (pivots and pivots[-1] >= n):

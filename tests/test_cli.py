@@ -211,6 +211,12 @@ def test_usage_errors_exit_two(capsys):
         ("lcd", "--field", "2^256", "--set", "0,1,2", "--k", "2"),
         ("params", "--field", "2147483647^4", "--set", "0,1", "--k", "1"),
         ("params", "--field", "2147483647^16", "--set", "0,1", "--k", "1"),
+        ("lcd", "--field", "7", "--set", "0,1,2", "--k-range", "1:99999999999"),
+        ("search", "--field", "7", "--sizes", "1:99999999999", "--k-range", "1"),
+        ("search", "--field", "37", "--sizes", "4", "--k-range", "1",
+         "--scalar-policy", "random:0"),
+        ("search", "--field", "7", "--sizes", "3", "--k-range", "1",
+         "--scalar-policy", "random:\u00b2"),
     ]
     named = {
         cases[7]: "--scalars",
@@ -225,6 +231,10 @@ def test_usage_errors_exit_two(capsys):
         cases[16]: "--field",
         cases[17]: "--field",
         cases[18]: "--field",
+        cases[19]: "--k-range",
+        cases[20]: "--sizes",
+        cases[21]: "--scalar-policy",
+        cases[22]: "--scalar-policy",
     }
     for argv in cases:
         start = time.perf_counter()
@@ -235,6 +245,39 @@ def test_usage_errors_exit_two(capsys):
         assert err.strip(), argv
         if argv in named:
             assert err.startswith(f"error: {named[argv]}:"), argv
+
+
+def test_search_over_large_fields_builds_only_what_it_examines(capsys):
+    # the component sets, grids and scalar tails are generated as they are
+    # examined, so the first records come at once, whatever the field size
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "search", "--field", "101", "--sizes", "4", "--k-range", "1",
+                       "--budget", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out.splitlines()[0])["components"] == [[0, 1, 2, 3]]
+    src = str(Path(cartcodes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    for field, size, policy in (
+        ("251", "4", "ones"),
+        ("2147483647", "2", "ones"),
+        ("2147483647", "2", "exhaustive"),
+        ("2147483647", "2", "random:3"),
+    ):
+        argv = ["search", "--field", field, "--sizes", size, "--k-range", "1",
+                "--scalar-policy", policy, "--budget", "3"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cartcodes.cli", *argv], capture_output=True, text=True,
+            env=env, preexec_fn=cap_address_space, timeout=30,
+        )
+        assert proc.returncode == 0 and not proc.stderr, (argv, proc.stderr[-500:])
+        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert records[-1] == {"truncated": True, "examined": 3, "budget": 3}, argv
+        assert len(records) == 4 and all(r["n"] == int(size) for r in records[:-1]), argv
 
 
 def test_extension_field_cli(capsys):
@@ -309,5 +352,8 @@ def test_parse_helpers():
     assert parse_range("5", "--k") == [5]
     with pytest.raises(UsageError):
         parse_range("4:2", "--k")
+    assert len(parse_range("1:1000000", "--k")) == 1_000_000
+    with pytest.raises(UsageError, match="1000001 values"):
+        parse_range("0:1000000", "--k")
     with pytest.raises(UsageError):
         parse_field("x")

@@ -434,6 +434,48 @@ def test_search_random_policy_seeded():
     assert a == b and len(a) == 20
 
 
+def eager_search_keys(field, m, sizes, k_values, policy, seed):
+    """The enumeration order of search_lcd, spelled with every pool built
+    up front: component sets, grids, scalar vectors, degrees."""
+    elements = field.elements()
+    nonzero = elements[1:]
+    choices = [list(c) for size in sizes for c in itertools.combinations(elements, size)]
+    for grid in itertools.product(choices, repeat=m):
+        n = math.prod(map(len, grid))
+        if policy == "ones":
+            vectors = [(field.one,) * n]
+        elif policy == "exhaustive":
+            vectors = [(field.one, *t) for t in itertools.product(nonzero, repeat=n - 1)]
+        else:
+            rng = random.Random(f"{seed}:{n}:{field.order}")
+            count = int(policy.split(":")[1])
+            vectors = [(field.one, *(rng.choice(nonzero) for _ in range(n - 1)))
+                       for _ in range(count)]
+        for scalars in vectors:
+            for k in k_values:
+                yield [[a.val for a in comp] for comp in grid], [v.val for v in scalars], k
+
+
+def test_search_enumerates_in_the_eager_order():
+    cases = [
+        (GF(5), 1, [1, 2, 3], [1, 2], "exhaustive"),
+        (F7, 1, [3, 2], [2], "random:4"),
+        (GF(3, 2), 1, [2, 3], [1, 3], "random:3"),
+        (GF(2, 3), 1, [4], [2], "exhaustive"),
+        (GF(5), 2, [1, 2], [1], "ones"),
+        (GF(3), 2, [1, 2], [1, 2], "exhaustive"),
+        (GF(2, 2), 3, [1, 2], [1], "random:2"),
+    ]
+    for field, m, sizes, ks, policy in cases:
+        want = list(eager_search_keys(field, m, sizes, ks, policy, seed=3))
+        got = [
+            ([[a.val for a in comp] for comp in r.report.spec.cset.components],
+             [v.val for v in r.report.spec.scalars], r.report.spec.k)
+            for r in search_lcd(field, m, sizes, ks, scalar_policy=policy, budget=10**6, seed=3)
+        ]
+        assert got == want, (field, m, sizes, ks, policy)
+
+
 def test_search_multicomponent_verdicts():
     records = [
         r

@@ -43,12 +43,9 @@ from cartcodes.lcd import LCD, PointSetData
 from cartcodes.linalg import (
     _echelon_entries,
     _echelon_vals,
-    _gram_vals,
     _intersection_vals,
     _matmul_vals,
     _nullspace_vals,
-    _rref_entries,
-    _rref_vals,
 )
 from cartcodes.multipoly import grlex_key
 
@@ -440,9 +437,9 @@ def test_echelon_pivots_match_gauss_jordan():
             assert all(row[c] == 0 for row in vals[r + 1 :])
         assert not any(any(row) for row in vals[len(pivots) :])
         # same row space: reducing the echelon form gives the reference
-        assert _rref_vals(field, vals, ncols) == ref_pivots and vals == ref_vals
+        assert _echelon_vals(field, vals, ncols, reduce=True) == ref_pivots and vals == ref_vals
         fresh = [list(row) for row in m.vals]
-        assert _rref_vals(field, fresh, ncols) == ref_pivots and fresh == ref_vals
+        assert _echelon_vals(field, fresh, ncols, reduce=True) == ref_pivots and fresh == ref_vals
 
 
 def test_row_space_contains_matches_rank():
@@ -594,15 +591,12 @@ def random_code_rows(rng, field, nrows, ncols):
 def assert_packed_matches_per_entry(field, rows, ncols):
     """The packed kernel, and the kernel linalg picks for the shape, give
     the pivots and rows of the per-entry elimination, forward and reduced."""
-    for reduce, kernel, reference in (
-        (False, _echelon_vals, _echelon_entries),
-        (True, _rref_vals, _rref_entries),
-    ):
+    for reduce in (False, True):
         want = [list(row) for row in rows]
-        pivots = reference(field, want, ncols)
-        for run in (kernel, lambda f, r, c: f.packed_echelon(r, c, reduce)):
+        pivots = _echelon_entries(field, want, ncols, reduce)
+        for run in (_echelon_vals, lambda f, r, c, reduce: f.packed_echelon(r, c, reduce)):
             got = [list(row) for row in rows]
-            assert run(field, got, ncols) == pivots
+            assert run(field, got, ncols, reduce) == pivots
             assert got == want
 
 
@@ -761,9 +755,10 @@ def test_rank_first_intersection_matches_zassenhaus_reference(monkeypatch):
     # or has more rows than columns; the result is Zassenhaus's either way
     wide = []
 
-    def counting_echelon(field, rows, ncols):
-        wide.append(ncols)
-        return _echelon_vals(field, rows, ncols)
+    def counting_echelon(field, rows, ncols, reduce=False):
+        if not reduce:
+            wide.append(ncols)
+        return _echelon_vals(field, rows, ncols, reduce)
 
     monkeypatch.setattr(linalg, "_echelon_vals", counting_echelon)
     rng = random.Random(0x2F1A)
@@ -833,7 +828,7 @@ def test_packed_products_match_dot_reference():
             # the Gram matrix of a width x inner generator
             rows = random_code_rows(rng, field, width, inner)
             want = [[dot(r1, r2) for r2 in rows] for r1 in rows]
-            assert _gram_vals(field, rows) == want
+            assert _matmul_vals(field, rows, rows) == want
             assert field.packed_matmul(rows, zip(*rows), width) == want
         sides[field.packs_matmul(width)] += 1
     assert min(sides) >= CASES // 4
