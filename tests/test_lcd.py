@@ -461,10 +461,10 @@ def test_search_enumerates_in_the_eager_order():
         (GF(5), 1, [1, 2, 3], [1, 2], "exhaustive"),
         (F7, 1, [3, 2], [2], "random:4"),
         (GF(3, 2), 1, [2, 3], [1, 3], "random:3"),
-        (GF(2, 3), 1, [4], [2], "exhaustive"),
+        (GF(2, 2), 1, [3, 4], [1, 2], "exhaustive"),
         (GF(5), 2, [1, 2], [1], "ones"),
         (GF(3), 2, [1, 2], [1, 2], "exhaustive"),
-        (GF(2, 2), 3, [1, 2], [1], "random:2"),
+        (GF(2), 3, [1, 2], [1], "random:2"),
     ]
     for field, m, sizes, ks, policy in cases:
         want = list(eager_search_keys(field, m, sizes, ks, policy, seed=3))
