@@ -264,6 +264,10 @@ def cmd_search(args) -> int:
         raise UsageError(
             f"--sizes: a component of {max(sizes)} points does not fit in {field}"
         )
+    # m > 1 runs the oracle's n x n elimination; past the cap, 2^m alone is too big
+    n = max(sizes) ** min(args.m, DEFAULT_BRUTE_BUDGET.bit_length())
+    if args.m > 1 and n * n > DEFAULT_BRUTE_BUDGET:
+        raise UsageError(f"--m: a grid of {max(sizes)}^{args.m} points is too big for the oracle")
     ks = parse_range(args.k_range, "--k-range")
     _check_at_least(min(ks), 1, "--k-range")
     _check_at_least(args.budget, 0, "--budget")

@@ -47,7 +47,7 @@ from .linalg import (
     _matmul_vals,
     _nullspace_vals,
 )
-from .multipoly import CartesianSet, MPoly, lagrange_point
+from .multipoly import CartesianSet, MPoly, _grid_lagrange_sum
 from .unipoly import (
     EeaResult,
     Poly,
@@ -303,10 +303,8 @@ def associated_poly_multivariate(
         raise ValueError("need one scalar per grid point")
     if any(v.val == 0 for v in scalars):
         raise ValueError("scalars must be nonzero")
-    H = MPoly.zero(aset.field, aset.nvars)
-    for point, v in zip(aset.points, scalars):
-        H = H + lagrange_point(aset, point).scale(v * v)
-    return H
+    mul = aset.field.mul
+    return _grid_lagrange_sum(aset, [mul(v, v) for v in aset.field._codes_of(scalars)])
 
 
 def is_lcd_product_sufficient(
@@ -482,10 +480,14 @@ def search_lcd(
     force.  The stream ends with a truncation marker if the budget runs out
     before the enumeration does.  Sets, grids and scalar vectors are
     generated as they are reached, so the budget bounds the time and
-    memory over any field.
+    memory over any field; ``k_values=[]`` or "random:0" raises ValueError.
     """
     if m < 1:
         raise ValueError("need at least one component")
+    if not k_values:
+        raise ValueError("need at least one degree k")
+    if scalar_policy.startswith("random:") and int(scalar_policy.split(":", 1)[1]) < 1:
+        raise ValueError(f"scalar policy {scalar_policy!r} draws no scalar vector")
     get = field._get
 
     def component_sets():

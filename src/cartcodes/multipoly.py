@@ -3,18 +3,22 @@
 Monomials are ordered graded-lexicographically (total degree first, then
 leftmost-positive difference).  The vanishing ideal of a Cartesian product
 set is generated by the single-variable vanishing polynomials, which form a
-Groebner basis, so reduction modulo the ideal is plain division by those
-generators.
+Groebner basis, so reduction modulo the ideal divides each line of terms
+along a variable by its generator, on codes.  Interpolation, the
+single-point Lagrange products and the associated polynomial are one grid
+Lagrange sum on codes with different weights.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from math import prod
 from typing import Mapping, Sequence
 
-from .field import Field, FieldElement
-from .unipoly import NEG_INF, Poly, formal_derivative, vanishing_poly
+from .errors import FieldMismatchError
+from .field import Field, FieldElement, _divmod_vals
+from .unipoly import NEG_INF, Poly, _lagrange_sum_vals, formal_derivative, vanishing_poly
 
 
 def grlex_key(exponents: tuple[int, ...]):
@@ -52,17 +56,16 @@ class MPoly:
         terms: Mapping[tuple[int, ...], FieldElement] | None = None,
     ):
         clean: dict[tuple[int, ...], FieldElement] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ValueError(
-                        f"exponent vector {exps} has arity {len(exps)}, expected {nvars}"
-                    )
-                if any(t < 0 for t in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                if coeff.val != 0:
-                    clean[exps] = coeff
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != nvars:
+                raise ValueError(
+                    f"exponent vector {exps} has arity {len(exps)}, expected {nvars}"
+                )
+            if any(t < 0 for t in exps):
+                raise ValueError(f"negative exponent in {exps}")
+            if coeff.val != 0:
+                clean[exps] = coeff
         self.field = field
         self.nvars = nvars
         self.terms = clean
@@ -87,19 +90,16 @@ class MPoly:
 
     @classmethod
     def variable(cls, field: Field, nvars: int, index: int) -> "MPoly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(field, nvars, {tuple(exps): field.one})
+        return cls.lift(Poly.x(field), nvars, index)
 
     @classmethod
     def lift(cls, poly: Poly, nvars: int, index: int) -> "MPoly":
         """Embed a univariate polynomial as a polynomial in variable ``index``."""
         terms = {}
-        for exp, c in enumerate(poly.coeffs):
-            if c.val != 0:
-                exps = [0] * nvars
-                exps[index] = exp
-                terms[tuple(exps)] = c
+        for exp, c in enumerate(poly.coeffs):  # the constructor drops zeros
+            exps = [0] * nvars
+            exps[index] = exp
+            terms[tuple(exps)] = c
         return cls(poly.field, nvars, terms)
 
     # -- queries --------------------------------------------------------------
@@ -209,14 +209,10 @@ class MPoly:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():
-            factors = []
             cs = str(c)
             if "+" in cs:
                 cs = f"({cs})"
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                factors.append(f"X{i + 1}" if e == 1 else f"X{i + 1}^{e}")
+            factors = [f"X{i + 1}" if e == 1 else f"X{i + 1}^{e}" for i, e in enumerate(exps) if e]
             if not factors:
                 parts.append(cs)
             elif cs == "1":
@@ -270,9 +266,7 @@ class CartesianSet:
         self.components = comps
         self.sizes = tuple(len(comp) for comp in comps)
         self.nvars = len(comps)
-        self.size = 1
-        for s in self.sizes:
-            self.size *= s
+        self.size = prod(self.sizes)
         self.points = tuple(itertools.product(*comps))
         self._index = {
             tuple(a.val for a in point): i for i, point in enumerate(self.points)
@@ -301,12 +295,8 @@ class CartesianSet:
     def derivative_values(self) -> list[list[FieldElement]]:
         """L_i'(a) for every component i and element a of A_i."""
         if self._derivatives is None:
-            self._derivatives = [
-                [deriv(a) for a in comp]
-                for deriv, comp in zip(
-                    map(formal_derivative, self.vanishing_generators()), self.components
-                )
-            ]
+            derivs = map(formal_derivative, self.vanishing_generators())
+            self._derivatives = [[d(a) for a in comp] for d, comp in zip(derivs, self.components)]
         return [list(row) for row in self._derivatives]
 
     def __repr__(self):
@@ -327,72 +317,69 @@ class CartesianSet:
         return [[a.to_json() for a in comp] for comp in self.components]
 
 
+def _grid_lagrange_sum(aset: CartesianSet, weights: Sequence[int]) -> MPoly:
+    """:func:`_lagrange_sum_vals` on the grid, one weight code per point."""
+    field, gens = aset.field, aset.vanishing_generators()
+    axes = [(li.vals, field._codes_of(comp)) for li, comp in zip(gens, aset.components)]
+    vals = _lagrange_sum_vals(field, axes, weights)
+    exponents = itertools.product(*map(range, aset.sizes))
+    terms = {exps: field._get(c) for exps, c in zip(exponents, vals) if c}
+    return MPoly._from_terms(field, aset.nvars, terms)
+
+
 def reduce_mod_ideal(f: MPoly, aset: CartesianSet) -> MPoly:
     """Remainder of f modulo the vanishing ideal of the set.
 
     The result agrees with f on every grid point, has per-variable degrees
-    below the component sizes, and total degree at most deg f.
+    below the component sizes, and total degree at most deg f.  For each
+    variable, each line of terms along it is divided by its L_i.
     """
     if f.nvars != aset.nvars:
         raise ValueError("variable count does not match the set")
-    sizes = aset.sizes
-    # X_i^{n_i} rewrites to X_i^{n_i} - L_i, which has degree < n_i.
-    tails = []
-    for li in aset.vanishing_generators():
-        coeffs = list(li.coeffs[:-1])
-        tails.append([(exp, -c) for exp, c in enumerate(coeffs) if c.val != 0])
-
-    reduced: dict[tuple[int, ...], FieldElement] = {}
-    pending = dict(f.terms)
-    while pending:
-        exps, coeff = pending.popitem()
-        for i, n_i in enumerate(sizes):
-            if exps[i] >= n_i:
-                head, low, tail = exps[:i], exps[i] - n_i, exps[i + 1 :]
-                _add_terms(pending, (
-                    (head + (low + exp,) + tail, coeff * c) for exp, c in tails[i]
-                ))
-                break
-        else:
-            _add_terms(reduced, [(exps, coeff)])
-    return MPoly._from_terms(f.field, f.nvars, reduced)
+    field = aset.field
+    if f.field is not field:
+        raise FieldMismatchError(f"cannot reduce over {f.field} modulo a set over {field}")
+    terms = dict(zip(f.terms, field._codes_of(f.terms.values())))
+    for i, li in enumerate(aset.vanishing_generators()):
+        lines: dict[tuple[int, ...], list[int]] = {}
+        for exps, c in terms.items():
+            line = lines.setdefault(exps[:i] + exps[i + 1 :], [])
+            line.extend([0] * (exps[i] + 1 - len(line)))
+            line[exps[i]] = c
+        terms = {}
+        for rest, line in lines.items():
+            for e, c in enumerate(_divmod_vals(field, line, li.vals)[1]):
+                if c:
+                    terms[rest[:i] + (e,) + rest[i:]] = c
+    return MPoly._from_terms(f.field, f.nvars, {e: field._get(c) for e, c in terms.items()})
 
 
 def lagrange_point(aset: CartesianSet, point: Sequence[FieldElement]) -> MPoly:
     """Product of the per-variable Lagrange factors for one grid point.
 
     Zero at every other grid point; its value at ``point`` is the product
-    of the component derivative values.
+    of the component derivative values: the Lagrange sum of a one-hot weight.
     """
-    aset.point_index(point)
-    field = aset.field
-    result = MPoly.constant(field, aset.nvars, field.one)
-    for i, (li, a) in enumerate(zip(aset.vanishing_generators(), point)):
-        # exact: L_i / (X - a)
-        factor = Poly._from_vals(field, field.horner(li.vals, a.val)[1:])
-        result = result * MPoly.lift(factor, aset.nvars, i)
-    return result
+    weights = [0] * aset.size
+    weights[aset.point_index(point)] = 1
+    return _grid_lagrange_sum(aset, weights)
 
 
 def interpolate_multivariate(
     aset: CartesianSet, values: Sequence[FieldElement]
 ) -> MPoly:
     """The unique polynomial with per-variable degrees < n_i taking the
-    given values on the grid (values indexed in grid point order)."""
+    given values on the grid (values indexed in grid point order): the grid
+    Lagrange sum with weights y / prod_i L_i'(a_i)."""
     if len(values) != aset.size:
         raise ValueError(
             f"expected {aset.size} values (one per grid point), got {len(values)}"
         )
-    one = aset.field.one
-    result = MPoly.zero(aset.field, aset.nvars)
-    # the derivative values in grid point order, as aset.points enumerates
-    lags = itertools.product(*aset.derivative_values())
-    for point, value, lag in zip(aset.points, values, lags):
-        if value.val == 0:
-            continue
-        scale = prod(lag, start=one).inverse()
-        result = result + lagrange_point(aset, point).scale(value * scale)
-    return result
+    field = aset.field
+    mul, inv = field.mul, field.inv
+    lags = itertools.product(*([d.val for d in row] for row in aset.derivative_values()))
+    weights = [mul(y, inv(reduce(mul, lag))) for y, lag in zip(field._codes_of(values), lags)]
+    return _grid_lagrange_sum(aset, weights)
 
 
 def monomial_basis(aset: CartesianSet, k: int) -> list[tuple[int, ...]]:

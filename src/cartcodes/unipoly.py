@@ -5,17 +5,13 @@ vanishing polynomials of point sets, single-point Lagrange factors, formal
 derivatives, interpolation, and the extended Euclidean remainder sequence
 with full Bezout bookkeeping.
 
-Products, long division, products of linear factors and the Euclidean
-sequence each have one kernel on lists of integer element codes, written
-on the primitives of :class:`~cartcodes.field.Field`; evaluation and
-division by X - a are the field's ``horner`` primitive.  Products and long
-division live in field.py, as field construction runs on them too;
-:func:`_root_product_vals` and :func:`_eea_vals` live here.  A
-:class:`Poly` stores its coefficients as those codes, so its arithmetic and
-:func:`eea_sequence` hand them to the kernels as they are; field elements
-appear only where a polynomial is built from them or read out.  Callers
-that need only remainder degrees run the Euclidean kernel directly, which
-keeps the one Bezout side its degree-law check reads.
+Each has one kernel on lists of integer element codes, on the primitives of
+:class:`~cartcodes.field.Field`: products and long division in field.py,
+which field construction runs on too; evaluation and division by X - a in
+the field's ``horner``; here :func:`_root_product_vals`,
+:func:`_lagrange_sum_vals` (Lagrange sums over grids of any number of
+axes) and :func:`_eea_vals`.  A :class:`Poly` stores its coefficients as
+codes, so field elements appear only where one is built or read out.
 """
 
 from __future__ import annotations
@@ -25,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, InconsistencyError, NotCoprimeError
 from .field import Field, FieldElement, _divmod_vals, _sub_mul_vals, _trim
+from .linalg import _matmul_vals
 
 # degree(0); compares below every integer and survives max()/comparisons,
 # unlike a -1 sentinel that could leak into arithmetic.
@@ -271,23 +268,33 @@ def formal_derivative(f: Poly) -> Poly:
     )
 
 
+def _lagrange_sum_vals(field: Field, axes, weights: Sequence[int]) -> list[int]:
+    """Codes of the sum over grid points p of w_p * prod_i L_i / (X_i - p_i),
+    from one pair (codes of L_i, codes of A_i) per axis and one weight per
+    point; points and the result's exponent vectors run in grid point order.
+    Each axis, last first, has its lines multiplied by the rows L_i / (X_i - p)
+    and is rotated to the front: n * (n_1 + ... + n_m) products in all."""
+    data = list(weights)
+    for L, points in reversed(axes):
+        factor_cols = list(zip(*[field.horner(L, a)[1:] for a in points]))
+        lines = [data[i : i + len(points)] for i in range(0, len(data), len(points))]
+        data = [c for col in zip(*_matmul_vals(field, lines, factor_cols)) for c in col]
+    return data
+
+
 def interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Poly:
-    """The unique polynomial of degree < len(points) through the points."""
+    """The unique polynomial of degree < len(points) through the points: the
+    Lagrange sum with weights y / L'(x), each L'(x) the value of L / (X - x) at x."""
     if not points:
         raise ValueError("cannot interpolate an empty point list")
-    xs = [x for x, _ in points]
-    if len({x.val for x in xs}) != len(xs):
+    field = points[0][0].field
+    xv, yv = field._codes_of(x for x, _ in points), field._codes_of(y for _, y in points)
+    if len(set(xv)) != len(xv):
         raise ValueError("interpolation points must have distinct x-coordinates")
-    field = xs[0].field
-    L = vanishing_poly(xs)
-    result = Poly.zero(field)
-    for x, y in points:
-        if y.val == 0:
-            continue
-        # the Lagrange factor as the exact quotient L / (X - x): O(n) each
-        term = Poly._from_vals(field, field.horner(L.vals, x.val)[1:])
-        result = result + term.scale(y * term(x).inverse())
-    return result
+    L = _root_product_vals(field, xv)
+    mul, inv, horner = field.mul, field.inv, field.horner
+    weights = [mul(y, inv(horner(horner(L, x)[1:], x)[0])) for x, y in zip(xv, yv)]
+    return Poly._from_vals(field, _trim(_lagrange_sum_vals(field, [(L, xv)], weights)))
 
 
 # -- extended Euclidean remainder sequence -------------------------------------

@@ -217,6 +217,9 @@ def test_usage_errors_exit_two(capsys):
          "--scalar-policy", "random:0"),
         ("search", "--field", "7", "--sizes", "3", "--k-range", "1",
          "--scalar-policy", "random:\u00b2"),
+        ("search", "--field", "7", "--m", "24", "--sizes", "2", "--k-range", "1",
+         "--budget", "1"),
+        ("search", "--field", "7", "--m", "1000000000", "--sizes", "1:2", "--k-range", "1"),
     ]
     named = {
         cases[7]: "--scalars",
@@ -235,6 +238,8 @@ def test_usage_errors_exit_two(capsys):
         cases[20]: "--sizes",
         cases[21]: "--scalar-policy",
         cases[22]: "--scalar-policy",
+        cases[23]: "--m",
+        cases[24]: "--m",
     }
     for argv in cases:
         start = time.perf_counter()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from cartcodes import (
     GF,
     CartesianSet,
     CartesianSpec,
+    FieldMismatchError,
     InconsistencyError,
     MPoly,
     SearchRecord,
@@ -289,6 +291,14 @@ def test_multivariate_associated_poly_properties():
         assert interpolate_multivariate(cset, values) == H
 
 
+def test_multivariate_associated_poly_rejects_foreign_scalars():
+    cset = CartesianSet([els(F7, 0, 1), els(F7, 2, 3)])
+    with pytest.raises(FieldMismatchError):
+        associated_poly_multivariate(cset, [GF(11).element(v) for v in (1, 2, 3, 4)])
+    with pytest.raises(FieldMismatchError):
+        associated_poly_multivariate(cset, [F7.one, F7.one, F7.one, GF(11).one])
+
+
 def test_cartesian_scalars_definition():
     v1, v2 = els(F7, 2, 3), els(F7, 1, 4, 5)
     product = cartesian_scalars([v1, v2])
@@ -398,8 +408,21 @@ def test_search_budget_truncation_and_determinism():
     )
 
 
+def assert_search_refused_at_once(k_values, policy):
+    # over GF(251) with sizes 4 the walk would build every one of its 1.6e8
+    # sets and examine none
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        next(search_lcd(GF(251), 1, [4], k_values, scalar_policy=policy))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_search_empty_k_range():
-    assert list(search_lcd(F7, 1, [3], [], scalar_policy="ones", budget=10)) == []
+    assert_search_refused_at_once([], "ones")
+
+
+def test_search_random_zero_draws():
+    assert_search_refused_at_once([1], "random:0")
 
 
 def test_search_covers_published_eight_point_set():
@@ -462,9 +485,11 @@ def test_search_enumerates_in_the_eager_order():
         (F7, 1, [3, 2], [2], "random:4"),
         (GF(3, 2), 1, [2, 3], [1, 3], "random:3"),
         (GF(2, 2), 1, [3, 4], [1, 2], "exhaustive"),
+        (GF(2, 3), 1, [4], [2], "exhaustive"),
         (GF(5), 2, [1, 2], [1], "ones"),
         (GF(3), 2, [1, 2], [1, 2], "exhaustive"),
         (GF(2), 3, [1, 2], [1], "random:2"),
+        (GF(2, 2), 3, [1, 2], [1], "random:2"),
     ]
     for field, m, sizes, ks, policy in cases:
         want = list(eager_search_keys(field, m, sizes, ks, policy, seed=3))

@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 
 from cartcodes import (
     GF,
     CartesianSet,
+    FieldMismatchError,
     MPoly,
     Poly,
     interpolate_multivariate,
@@ -114,6 +116,29 @@ def test_reduce_properties():
         assert reduce_mod_ideal(member, cs).is_zero
 
 
+def test_reduce_high_powers_fast():
+    # high powers in every variable: a rewrite of one term at a time reached
+    # the same monomials again and again, taking seconds at e = 20
+    cs = mk_set([0, 1, 2], [1, 3, 5], [2, 4, 6])
+    e = 20
+    f = MPoly(F7, 3, {(e, e, e): F7.one, (e, 0, 0): F7.element(3), (0, e, 1): F7.element(5)})
+    start = time.perf_counter()
+    r = reduce_mod_ideal(f, cs)
+    assert time.perf_counter() - start < 0.01
+    assert all(r.degree_in(i) < 3 for i in range(3))
+    for pt in cs.points:
+        assert r.evaluate(pt) == f.evaluate(pt)
+
+
+def test_reduce_rejects_another_field():
+    cs = mk_set([0, 1, 2], [0, 1])
+    F11 = GF(11)
+    # already reduced, so no rewrite would ever multiply
+    for f in (MPoly.constant(F11, 2, F11.one), MPoly.zero(F11, 2)):
+        with pytest.raises(FieldMismatchError):
+            reduce_mod_ideal(f, cs)
+
+
 def test_lagrange_point_univariate_specialization():
     A = [F7.element(v) for v in (0, 1, 3)]
     cs = CartesianSet([A])
@@ -152,6 +177,8 @@ def test_interpolate_multivariate():
         assert f.evaluate(pt) == v
     with pytest.raises(ValueError):
         interpolate_multivariate(cs, zeros[:3])
+    with pytest.raises(FieldMismatchError):
+        interpolate_multivariate(cs, [GF(11).one] * 4)
 
 
 def test_interpolate_multivariate_uniqueness():

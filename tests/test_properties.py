@@ -3,6 +3,7 @@ fixed seeds throughout."""
 
 import copy
 import itertools
+import math
 import pickle
 import random
 
@@ -343,6 +344,41 @@ def test_multivariate_interpolation_identity():
         values = [field._get(rng.randrange(field.order)) for _ in range(grid.size)]
         g = interpolate_multivariate(grid, values)
         assert [g.evaluate(pt) for pt in grid.points] == values
+
+
+def reference_lagrange_sum(grid, weights):
+    """The grid Lagrange sum point by point on elements: the sum of
+    w_p * prod_i L_i / (X_i - p_i), each factor lifted from lagrange_term."""
+    field, m = grid.field, grid.nvars
+    total = MPoly.zero(field, m)
+    for point, w in zip(grid.points, weights):
+        term = MPoly.constant(field, m, w)
+        for i, (comp, a) in enumerate(zip(grid.components, point)):
+            term = term * MPoly.lift(lagrange_term(comp, a), m, i)
+        total = total + term
+    return total
+
+
+def test_grid_lagrange_sums_match_element_reference():
+    from cartcodes import associated_poly_multivariate, lagrange_point
+
+    rng = random.Random(0x6A1D)
+    for _ in range(CASES):
+        field = rng.choice(LINALG_FIELDS)
+        grid = CartesianSet(
+            [random_subset(rng, field, 1, 4) for _ in range(rng.randrange(1, 4))]
+        )
+        one = field.one
+        lags = [math.prod(lag, start=one) for lag in itertools.product(*grid.derivative_values())]
+        values = [field._get(rng.randrange(field.order)) for _ in range(grid.size)]
+        want = reference_lagrange_sum(grid, [y / lag for y, lag in zip(values, lags)])
+        assert interpolate_multivariate(grid, values) == want
+        scalars = random_scalars(rng, field, grid.size)
+        want = reference_lagrange_sum(grid, [v * v for v in scalars])
+        assert associated_poly_multivariate(grid, scalars) == want
+        point = rng.choice(grid.points)
+        hot = [one if p == point else field.zero for p in grid.points]
+        assert lagrange_point(grid, point) == reference_lagrange_sum(grid, hot)
 
 
 # ---- exact linear algebra ------------------------------------------------------

@@ -131,6 +131,11 @@ def test_interpolate():
         assert f(x) == y
     with pytest.raises(ValueError):
         interpolate([(F7.zero, c), (F7.zero, c)])
+    F11 = GF(11)
+    with pytest.raises(FieldMismatchError):
+        interpolate([(F7.zero, c), (F7.one, F11.one)])
+    with pytest.raises(FieldMismatchError):
+        interpolate([(F7.zero, c), (F11.one, c)])
 
 
 def test_interpolate_uniqueness():
