@@ -220,6 +220,9 @@ def cmd_dual(args) -> int:
 def cmd_lcd(args) -> int:
     field = parse_field(args.field)
     cset = parse_components(field, args.set)
+    # grids go to the oracle's n x n elimination, bounded as in cmd_search
+    if cset.nvars > 1 and cset.size * cset.size > DEFAULT_BRUTE_BUDGET:
+        raise UsageError(f"--set: a grid of {cset.size} points is too big for the oracle")
     scalars = parse_scalars(field, cset, args.scalars)
     if args.k_range is None and args.k is None:
         raise UsageError("--k: one of --k or --k-range is required")

@@ -19,9 +19,10 @@ packing rule says that is faster.  For orders up to 256 the q elements are
 interned, so element arithmetic allocates nothing.
 
 The polynomial kernels on code lists live here too: unipoly.py builds
-``Poly`` on them, and field construction runs on them over GF(p), for
-products of coefficient vectors and for the irreducibility test of a
-modulus.  Construction is bounded and refuses what it would not finish.
+``Poly`` on them, and over GF(p) they multiply the coefficient vectors of
+untabled extension fields and test a modulus for irreducibility.  Tabled
+fields build their tables from byte rows.  Construction is bounded and
+refuses what it would not finish.
 """
 
 from __future__ import annotations
@@ -58,18 +59,38 @@ _PACKED_ROWS = sys.byteorder == "little" and all(
 )
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test (sufficient for p <= 2^31)."""
+    """Deterministic Miller-Rabin primality test for 0 <= n < 3.3 * 10^24.
+
+    An odd composite n passes the strong test n - 1 = d * 2^s to every base
+    a in ``_MR_BASES``, the twelve primes up to 37, only from
+    3317044064679887385961981 on (Sorenson and Webster, Math. Comp. 86,
+    2017), so below that bound the answer is exact.  From the bound on
+    these bases are not known to suffice, and n raises ``ValueError``.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
     if n < 2:
         return False
-    for small in (2, 3):
-        if n % small == 0:
-            return n == small
-    i = 5
-    while i * i <= n:
-        if n % i == 0 or n % (i + 2) == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 6
     return True
 
 
@@ -413,6 +434,53 @@ def _never(*shape) -> bool:
 _UNPACKED = dict(packed_echelon=None, packed_matmul=None, packs_echelon=_never, packs_matmul=_never)
 
 
+# --- table rows ------------------------------------------------------------
+#
+# A tabled field's codes fit in a byte, so a table row, or any map on its
+# codes, is one ``bytes`` object, and composing maps is ``bytes.translate``.
+
+
+def _translation(row: bytes) -> bytes:
+    """``row``, a map on the codes below len(row), as a translation table."""
+    return row + bytes(256 - len(row))
+
+
+def _addition_table(p: int, e: int) -> bytes:
+    """The addition table of the codes below q = p^e <= 256, flat, row a at
+    a * q.  Rows a + c p^i, for a < p^i, are the rows a with digit i of every
+    entry stepped c times: one translation of the table so far per step."""
+    q = p**e
+    add = bytes(range(q))
+    for i in range(e):
+        unit = p**i
+        step = _translation(bytes(
+            b - (p - 1) * unit if b // unit % p == p - 1 else b + unit for b in range(q)
+        ))
+        parts = [add]
+        for _ in range(p - 1):
+            parts.append(parts[-1].translate(step))
+        add = b"".join(parts)
+    return add
+
+
+def _linear_map(add: bytes, p: int, images: list[int]) -> bytes:
+    """The GF(p)-linear map sending the basis X^j to the code ``images[j]``,
+    as its values at the codes 0, 1, ..., given the flat addition table.
+
+    Its values at b + c p^j, for b < p^j, are those at b plus c * images[j]:
+    a translation through the addition row of that multiple.
+    """
+    q = p ** len(images)
+    out = b"\0"
+    for h in images:
+        parts, m = [out], h
+        for _ in range(p - 1):
+            parts.append(out.translate(_translation(add[m * q : m * q + q])))
+            m = add[m * q + h]
+        out = b"".join(parts)
+    return out
+
+
 class FieldElement:
     """An element of a :class:`Field`, stored by its canonical integer code.
 
@@ -579,10 +647,11 @@ class Field:
             field = _FIELDS.get((p, e, modulus))
             if field is not None:
                 return field
+        # the range first, so that is_prime never sees a huge p
+        if isinstance(p, int) and p > _MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {p} above supported range 2^31")
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p!r}")
-        if p > _MAX_CHARACTERISTIC:
-            raise ValueError(f"characteristic {p} above supported range 2^31")
         if not isinstance(e, int) or e < 1:
             raise ValueError(f"extension degree must be a positive integer, got {e!r}")
         if e == 1 and modulus is not None:
@@ -647,8 +716,8 @@ class Field:
         return val
 
     # Coefficient-vector arithmetic of extension fields: the reference the
-    # tables are built and tested from, and the primitives of untabled
-    # extension fields.
+    # tables are tested against, and the primitives of untabled extension
+    # fields.
 
     def _add_val(self, a: int, b: int) -> int:
         ca, cb = self._coeff_vector(a), self._coeff_vector(b)
@@ -671,48 +740,56 @@ class Field:
         coeffs = _trim(list(self._coeff_vector(a)))
         return self._pack(_eea_vals(self._base, list(self.modulus), coeffs)[2][-1])
 
-    def _build_tables(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Flat integer tables of an extension field: addition and
-        multiplication indexed ``a * q + b``, negation and inverse by ``a``.
+    def _build_tables(self) -> tuple[list[int], list[int], list[int], list[int], list[bytes]]:
+        """Flat integer tables of an extension field of order q <= 256:
+        addition and multiplication indexed ``a * q + b``, negation and
+        inverse by ``a``; and the multiplication rows as ``bytes``.
 
-        Products come off the exponent and logarithm tables of the smallest
-        primitive element; sums and negatives off the base-p digit
-        recurrences ``a + b = (a // p + b // p) * p + (a % p + b % p) % p``
-        and ``-a = -(a // p) * p + (-a) % p``.  Building costs O(q^2) table
-        lookups rather than O(q^2) polynomial products.
+        The tables are built as ``bytes`` by C-level translations, with no
+        Python loop over their q^2 entries, then flattened into lists, whose
+        indexing is faster.  The addition table takes e (p - 1) translations
+        (:func:`_addition_table`).  Multiplication row a maps b to
+        exp[log a + log b], for the exponent table of the smallest primitive
+        element, so it is the logarithms translated through that table
+        rotated by log a.
         """
         q, p = self.order, self.p
-        exp = self._primitive_powers()
+        add = _addition_table(p, self.extension_degree)
+        exp = self._primitive_powers(add)
+        neg_v = [add.index(0, a * q) - a * q for a in range(q)]
+        add_v = list(add)
+        del add  # freed before the second flat table is built
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
-        exp = exp + exp  # exp[i + j] for i, j < q - 1 without a reduction
-        add_v = [0] * (q * q)
-        for a in range(q):
-            row, high = a * q, (a // p) * q
-            a0 = a % p
-            for b in range(q):
-                add_v[row + b] = add_v[high + b // p] * p + (a0 + b % p) % p
-        mul_v = [0] * q
-        for la in log[1:]:
-            row = exp[la:]
-            mul_v.append(0)
-            mul_v += [row[lb] for lb in log[1:]]
-        neg_v = [0] * q
-        for a in range(1, q):
-            neg_v[a] = neg_v[a // p] * p + (-a) % p
-        inv_v = [0] + [exp[q - 1 - la] for la in log[1:]]
-        return add_v, mul_v, neg_v, inv_v
+        logs, rotations = bytes(log[1:]), bytes(exp) * 2 + bytes(256)
+        mul_rows = [bytes(q)] + [b"\0" + logs.translate(rotations[la : la + 256]) for la in log[1:]]
+        inv_v = [0] + [exp[-la] for la in log[1:]]
+        return add_v, list(b"".join(mul_rows)), neg_v, inv_v, mul_rows
 
-    def _primitive_powers(self) -> list[int]:
+    def _primitive_powers(self, add: bytes) -> list[int]:
         """Codes of g^0, ..., g^(q-2) for the smallest primitive element g,
-        found by walking the powers of each candidate back to 1."""
-        for g in range(2, self.order):
+        found by walking the powers of each candidate back to 1, one lookup
+        in its multiplication row per step.
+
+        A constant has an order dividing p - 1 < q - 1, so the candidates
+        start at X, code p.  Rows are :func:`_linear_map`s: X sends X^j to
+        X^(j+1) and X^(e-1) to minus the modulus's lower coefficients; g
+        sends X^j to g X^j, read off the row of X.
+        """
+        q, p, e = self.order, self.p, self.extension_degree
+        top = self._pack(-c for c in self.modulus[:-1])
+        times_x = _linear_map(add, p, [p**j for j in range(1, e)] + [top])
+        for g in range(p, q):
+            images = [g]
+            for _ in range(e - 1):
+                images.append(times_x[images[-1]])
+            times_g = _linear_map(add, p, images)
             powers, x = [1], g
             while x != 1:
                 powers.append(x)
-                x = self._mul_val(x, g)
-            if len(powers) == self.order - 1:
+                x = times_g[x]
+            if len(powers) == q - 1:
                 return powers
         raise AssertionError(f"no primitive element in {self}")
 
@@ -812,7 +889,7 @@ class Field:
                         scale=scale, horner=horner, row_mul=row_mul, **packing)
         if self.order <= _TABLE_MAX_ORDER:
             q = self.order
-            add_v, mul_v, neg_v, inv_v = self._build_tables()
+            add_v, mul_v, neg_v, inv_v, mul_rows = self._build_tables()
 
             def add(a, b):
                 return add_v[a * q + b]
@@ -850,7 +927,7 @@ class Field:
             packing = _UNPACKED
             if self.p == 2:
                 # a row times a is bytes.translate through tables[a]
-                tables = [bytes(mul_v[a * q : a * q + q]) + bytes(256 - q) for a in range(q)]
+                tables = [_translation(row) for row in mul_rows]
                 packing = _packing(partial(_xor_echelon, tables, inv),
                                    partial(_xor_matmul, tables), _PACK_RULE_BYTES)
             return dict(add=add, mul=mul, neg=neg_v.__getitem__, inv=inv, dot=dot,

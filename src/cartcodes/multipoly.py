@@ -64,6 +64,8 @@ class MPoly:
                 )
             if any(t < 0 for t in exps):
                 raise ValueError(f"negative exponent in {exps}")
+            if coeff.field is not field:
+                raise FieldMismatchError(f"{coeff!r} is not an element of {field}")
             if coeff.val != 0:
                 clean[exps] = coeff
         self.field = field
@@ -135,6 +137,8 @@ class MPoly:
     def __add__(self, other: "MPoly") -> "MPoly":
         if not isinstance(other, MPoly):
             return NotImplemented
+        if other.field is not self.field:
+            raise FieldMismatchError(f"cannot add polynomials over {self.field} and {other.field}")
         out = _add_terms(dict(self.terms), other.terms.items())
         return MPoly._from_terms(self.field, self.nvars, out)
 

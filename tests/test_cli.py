@@ -220,6 +220,10 @@ def test_usage_errors_exit_two(capsys):
         ("search", "--field", "7", "--m", "24", "--sizes", "2", "--k-range", "1",
          "--budget", "1"),
         ("search", "--field", "7", "--m", "1000000000", "--sizes", "1:2", "--k-range", "1"),
+        ("params", "--field", "2305843009213693951", "--set", "0,1,2", "--scalars", "1,1,1",
+         "--k", "1"),
+        ("lcd", "--field", "11", "--set", ";".join([",".join(map(str, range(11)))] * 3),
+         "--k", "1"),
     ]
     named = {
         cases[7]: "--scalars",
@@ -240,6 +244,8 @@ def test_usage_errors_exit_two(capsys):
         cases[22]: "--scalar-policy",
         cases[23]: "--m",
         cases[24]: "--m",
+        cases[25]: "--field",
+        cases[26]: "--set",
     }
     for argv in cases:
         start = time.perf_counter()

@@ -104,6 +104,44 @@ def test_prime_validation():
     assert is_prime(2**31 - 1)
 
 
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    for small in (2, 3):
+        if n % small == 0:
+            return n == small
+    i = 5
+    while i * i <= n:
+        if n % i == 0 or n % (i + 2) == 0:
+            return False
+        i += 6
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 200_000):
+        assert is_prime(n) == _trial_division_is_prime(n), n
+    # strong pseudoprimes to the first bases, the last to every prime base
+    # up to 23, and Carmichael numbers
+    composites = (2047, 1373653, 25326001, 3215031751, 3825123056546413051,
+                  561, 41041, 825265)
+    for n in composites:
+        assert not _trial_division_is_prime(n)
+        assert not is_prime(n), n
+    for n in (2**31 - 1, 2**61 - 1, 1000000007 * 998244353, 2**61 + 1):
+        assert is_prime(n) == (n in (2**31 - 1, 2**61 - 1))
+    with pytest.raises(ValueError, match="exact only below"):
+        is_prime(2**89 - 1)
+
+
+def test_huge_characteristics_are_refused_at_once():
+    for p in (2**61 - 1, 2**89 - 1, 2**127 - 1):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="above supported range"):
+            GF(p)
+        assert time.perf_counter() - start < 1.0
+
+
 def test_modulus_validation():
     with pytest.raises(ValueError):
         GF(2, 2, modulus=[1, 0, 1])  # (X+1)^2
@@ -303,6 +341,60 @@ def test_tables_match_coefficient_arithmetic():
             for b in range(q):
                 assert field.add(a, b) == field._add_val(a, b)
                 assert field.mul(a, b) == field._mul_val(a, b)
+
+
+def _reference_tables(field):
+    """The tables by the per-entry algorithm: powers of the smallest
+    primitive element by coefficient-vector products, then one Python step
+    per table entry."""
+    q, p = field.order, field.p
+    for g in range(2, q):
+        exp, x = [1], g
+        while x != 1:
+            exp.append(x)
+            x = field._mul_val(x, g)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    exp = exp + exp
+    add_v = [0] * (q * q)
+    for a in range(q):
+        row, high = a * q, (a // p) * q
+        for b in range(q):
+            add_v[row + b] = add_v[high + b // p] * p + (a % p + b % p) % p
+    mul_v = [0] * q
+    for la in log[1:]:
+        mul_v += [0] + [exp[la + lb] for lb in log[1:]]
+    neg_v = [0] * q
+    for a in range(1, q):
+        neg_v[a] = neg_v[a // p] * p + (-a) % p
+    inv_v = [0] + [exp[q - 1 - la] for la in log[1:]]
+    return add_v, mul_v, neg_v, inv_v
+
+
+TABLED_FIELDS = (
+    [(2, e, None) for e in range(2, 9)]
+    + [(3, e, None) for e in range(2, 6)]
+    + [(5, 2, None), (5, 3, None), (7, 2, None), (11, 2, None), (13, 2, None)]
+    + [(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)), (3, 2, (1, 0, 1))]
+)
+
+
+@pytest.mark.parametrize("p, e, modulus", TABLED_FIELDS)
+def test_tables_match_the_per_entry_build(p, e, modulus):
+    field = GF(p, e, modulus)
+    q = field.order
+    add_v, mul_v, neg_v, inv_v, _ = field._build_tables()
+    reference = _reference_tables(field)
+    assert [add_v, mul_v, neg_v, inv_v] == list(reference)
+    assert all(type(table) is list for table in (add_v, mul_v, neg_v, inv_v))
+    if p == 2:
+        # the translation tables of the XOR kernels are the same rows
+        tables = field.packed_matmul.args[0]
+        assert tables == [bytes(reference[1][a * q : a * q + q]) + bytes(256 - q)
+                          for a in range(q)]
 
 
 def test_fields_and_elements_pickle():

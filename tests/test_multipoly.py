@@ -139,6 +139,23 @@ def test_reduce_rejects_another_field():
             reduce_mod_ideal(f, cs)
 
 
+def test_mpoly_rejects_a_coefficient_of_another_field():
+    F11 = GF(11)
+    with pytest.raises(FieldMismatchError):
+        MPoly(F7, 1, {(1,): F11.one})
+
+
+def test_mpoly_sum_rejects_another_field():
+    # disjoint supports, so no coefficient sum would ever combine the two
+    F11 = GF(11)
+    f, g = MPoly(F7, 1, {(1,): F7.one}), MPoly(F11, 1, {(0,): F11.one})
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(FieldMismatchError):
+            a + b
+        with pytest.raises(FieldMismatchError):
+            a - b
+
+
 def test_lagrange_point_univariate_specialization():
     A = [F7.element(v) for v in (0, 1, 3)]
     cs = CartesianSet([A])
