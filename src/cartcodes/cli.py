@@ -22,7 +22,7 @@ from .codes import (
     parameter_report,
 )
 from .errors import BudgetExceededError, InconsistencyError, NotLcdError
-from .field import Field
+from .field import Field, FieldElement
 from .linalg import Matrix
 from .lcd import (
     UnivariateLcdAnalysis,
@@ -70,16 +70,30 @@ def parse_field(text: str) -> Field:
         raise UsageError(f"--field: {exc}") from exc
 
 
-def parse_components(field: Field, text: str) -> CartesianSet:
-    """Semicolon-separated components, each a comma list of element codes."""
+def _element(field: Field, text: str) -> FieldElement:
+    """The element whose integer code is ``text``, in [0, q)."""
+    value = int(text)
+    if not 0 <= value < field.order:
+        raise ValueError(f"integer code {value} out of range for {field}")
+    return field._get(value)
+
+
+def parse_components(field: Field, text: str, rows=None, purpose: str = "") -> CartesianSet:
+    """Semicolon-separated components, each a comma list of element codes.
+    With ``rows``, a grid (m > 1) of more than ``DEFAULT_BRUTE_BUDGET`` points,
+    or whose ``rows(cset)`` rows of n columns hold more cells, is refused."""
     try:
         comps = [
-            [field.element(int(x)) for x in part.split(",") if x != ""]
+            [_element(field, x) for x in part.split(",") if x != ""]
             for part in text.split(";")
         ]
-        return CartesianSet(comps)
+        cset = CartesianSet(comps)
     except ValueError as exc:
         raise UsageError(f"--set: {exc}") from exc
+    n, budget = cset.size, DEFAULT_BRUTE_BUDGET
+    if rows and cset.nvars > 1 and (n > budget or rows(cset) * n > budget):
+        raise UsageError(f"--set: a grid of {n} points is too big for {purpose}")
+    return cset
 
 
 def parse_scalars(field: Field, cset: CartesianSet, text: str):
@@ -90,7 +104,7 @@ def parse_scalars(field: Field, cset: CartesianSet, text: str):
     try:
         if ";" in text:
             vectors = [
-                [field.element(int(x)) for x in part.split(",")]
+                [_element(field, x) for x in part.split(",")]
                 for part in text.split(";")
             ]
             if [len(v) for v in vectors] != list(cset.sizes):
@@ -99,7 +113,7 @@ def parse_scalars(field: Field, cset: CartesianSet, text: str):
                     f"do not match component sizes {list(cset.sizes)}"
                 )
             return cartesian_scalars(vectors)
-        flat = [field.element(int(x)) for x in text.split(",")]
+        flat = [_element(field, x) for x in text.split(",")]
         if len(flat) != cset.size:
             raise ValueError(f"expected {cset.size} scalars, got {len(flat)}")
         if any(v.val == 0 for v in flat):
@@ -142,9 +156,9 @@ def parse_scalar_policy(text: str) -> str:
     )
 
 
-def build_spec(args) -> CartesianSpec:
+def build_spec(args, rows=None, purpose: str = "") -> CartesianSpec:
     field = parse_field(args.field)
-    cset = parse_components(field, args.set)
+    cset = parse_components(field, args.set, rows, purpose)
     scalars = parse_scalars(field, cset, args.scalars)
     try:
         return CartesianSpec(cset, scalars, args.k)
@@ -163,7 +177,8 @@ def _check_at_least(value: int, low: int, flag: str) -> None:
 def cmd_params(args) -> int:
     if args.budget is not None:
         _check_at_least(args.budget, 0, "--budget")
-    spec = build_spec(args)
+    # the generator has dim rows; args.k may be missing, which CartesianSpec names
+    spec = build_spec(args, lambda cset: dimension_formula(cset, args.k or 0), "its generator")
     code = generator_matrix(spec)
     report = parameter_report(spec, brute_budget=args.budget, code=code)
     rank = code.generator.rank()
@@ -187,7 +202,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    spec = build_spec(args)
+    # the code's and the dual's generators have n rows together
+    spec = build_spec(args, lambda cset: cset.size, "the dual check")
     dual = dual_spec(spec)
     if dual is None:
         out = {"zero_dual": True, "k": spec.k, "n": spec.n}
@@ -219,19 +235,14 @@ def cmd_dual(args) -> int:
 
 def cmd_lcd(args) -> int:
     field = parse_field(args.field)
-    cset = parse_components(field, args.set)
     # grids go to the oracle's n x n elimination, bounded as in cmd_search
-    if cset.nvars > 1 and cset.size * cset.size > DEFAULT_BRUTE_BUDGET:
-        raise UsageError(f"--set: a grid of {cset.size} points is too big for the oracle")
+    cset = parse_components(field, args.set, lambda cset: cset.size, "the oracle")
     scalars = parse_scalars(field, cset, args.scalars)
     if args.k_range is None and args.k is None:
         raise UsageError("--k: one of --k or --k-range is required")
     ks = parse_range(args.k_range, "--k-range") if args.k_range else [args.k]
-    all_lcd = True
     records = []
-    analysis = None
-    if cset.nvars == 1:
-        analysis = UnivariateLcdAnalysis(cset.components[0], scalars)
+    analysis = UnivariateLcdAnalysis(cset.components[0], scalars) if cset.nvars == 1 else None
     for k in ks:
         try:
             spec = CartesianSpec(cset, scalars, k)
@@ -241,7 +252,6 @@ def cmd_lcd(args) -> int:
             report = is_lcd_univariate(cset.components[0], scalars, k, analysis=analysis)
         else:
             report = is_lcd_bruteforce(spec)
-        all_lcd = all_lcd and report.is_lcd
         records.append(report)
     if args.json:
         for report in records:
@@ -253,7 +263,7 @@ def cmd_lcd(args) -> int:
                 extra = f"  remainder degrees {sorted(report.eea_degrees)}"
             print(f"k={report.spec.k}: {'LCD' if report.is_lcd else 'not LCD'}"
                   f" [{report.method}]{extra}")
-    if args.expect_lcd and not all_lcd:
+    if args.expect_lcd and not all(report.is_lcd for report in records):
         return 1
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
@@ -141,20 +141,24 @@ def dimension_formula(spec_or_set, k: int | None = None) -> int:
         cset, k = spec_or_set.cset, spec_or_set.k
     else:
         cset = spec_or_set
-    sizes = cset.sizes
-    m = len(sizes)
     if k < 1:
         return 0
-    if k - 1 >= sum(s - 1 for s in sizes):
+    if k - 1 >= sum(s - 1 for s in cset.sizes):
         return cset.size
     cap = k - 1
+    # one-point components force t_i = 0 and leave the count as it is; each
+    # subset S is extended in ascending size order while sum(S) <= cap
+    sizes = sorted(s for s in cset.sizes if s > 1)
+    m = len(sizes)
     total = 0
-    for r in range(m + 1):
-        for subset in itertools.combinations(sizes, r):
-            rem = cap - sum(subset)
-            if rem < 0:
-                continue
-            total += (-1) ** r * comb(m + rem, m)
+    stack = [(0, 0, 1)]  # (next component, sum(S), (-1)^|S|)
+    while stack:
+        start, used, sign = stack.pop()
+        total += sign * comb(m + cap - used, m)
+        for j in range(start, m):
+            if used + sizes[j] > cap:
+                break
+            stack.append((j + 1, used + sizes[j], -sign))
     return total
 
 
@@ -192,7 +196,7 @@ def generator_matrix(spec: CartesianSpec) -> LinearCode:
     """
     cset = spec.cset
     row_mul = cset.field.row_mul
-    # coordinate i of every point, in cset.points order, as codes
+    # coordinate i of every point, in grid point order, as codes
     points = itertools.product(*([a.val for a in comp] for comp in cset.components))
     coords = list(zip(*points))
     rows = {}
@@ -221,12 +225,10 @@ def dual_spec(spec: CartesianSpec) -> Optional[CartesianSpec]:
     if spec.trivial_range:
         return None
     k_dual = spec.degree_cap - spec.k + 1
-    one = spec.field.one
-    # the derivative values in grid point order, as cset.points enumerates
-    lags = itertools.product(*spec.cset.derivative_values())
-    dual_scalars = tuple(
-        (v * prod(lag, start=one)).inverse() for v, lag in zip(spec.scalars, lags)
-    )
+    field = spec.field
+    mul, inv, get = field.mul, field.inv, field._get
+    pairs = zip(field._codes_of(spec.scalars), spec.cset._point_derivatives())
+    dual_scalars = tuple(get(inv(mul(v, d))) for v, d in pairs)
     return CartesianSpec(spec.cset, dual_scalars, k_dual)
 
 

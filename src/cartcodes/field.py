@@ -507,10 +507,7 @@ class FieldElement:
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        f = self.field
-        if other.field is not f:
-            raise FieldMismatchError(f"cannot combine elements of {f} and {other.field}")
-        return f._get(f.add(self.val, f.neg(other.val)))
+        return self + -other
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):

@@ -39,7 +39,7 @@ from .codes import (
     min_distance_formula,
 )
 from .errors import InconsistencyError
-from .field import Field, FieldElement, _trim
+from .field import Field, FieldElement
 from .linalg import (
     Matrix,
     _echelon_vals,
@@ -48,13 +48,7 @@ from .linalg import (
     _nullspace_vals,
 )
 from .multipoly import CartesianSet, MPoly, _grid_lagrange_sum
-from .unipoly import (
-    EeaResult,
-    Poly,
-    _eea_vals,
-    eea_sequence,
-    vanishing_poly,
-)
+from .unipoly import EeaResult, PointSetData, Poly, _eea_vals, eea_sequence
 
 LCD = "lcd"
 NOT_LCD = "not-lcd"
@@ -114,41 +108,6 @@ def cartesian_scalars(
 
 
 # -- the univariate (generalized Reed-Solomon) criterion ------------------------
-
-
-class PointSetData:
-    """Per-point-set polynomials, reusable across many scalar vectors:
-    the vanishing polynomial L and the single-point Lagrange factors.
-
-    Each factor is the exact quotient L / (X - a), so a set of n points
-    costs O(n^2).  Both are code-backed :class:`Poly` objects, which the
-    integer-code kernels read through their ``vals``.
-    """
-
-    __slots__ = ("points", "field", "L", "lagrange_terms")
-
-    def __init__(self, points: Sequence[FieldElement]):
-        self.points = tuple(points)
-        self.L = L = vanishing_poly(self.points)
-        self.field = field = L.field
-        horner = field.horner
-        # exact quotients L / (X - a): the Horner sums past the value at a
-        self.lagrange_terms = tuple(
-            Poly._from_vals(field, horner(L.vals, a.val)[1:]) for a in self.points
-        )
-
-    def associated_poly(self, scalars: Sequence[FieldElement]) -> Poly:
-        if len(scalars) != len(self.points):
-            raise ValueError("need one scalar per point")
-        field = self.field
-        codes = field._codes_of(scalars)
-        if not all(codes):
-            raise ValueError("scalars must be nonzero")
-        mul, neg, sub_mul = field.mul, field.neg, field.sub_mul
-        acc = [0] * len(self.points)
-        for term, v in zip(self.lagrange_terms, codes):
-            sub_mul(acc, neg(mul(v, v)), term.vals, 0)
-        return Poly._from_vals(field, _trim(acc))
 
 
 def associated_poly_univariate(
@@ -361,8 +320,7 @@ def lcd_necessity_check(
     size, a product code that brute force declares LCD must have every
     component code of degree k LCD.  A violation is an internal error, not
     a result.  Returns the product verdict, or "inapplicable"."""
-    sizes = [len(points) for points, _ in components]
-    if k >= min(sizes):
+    if k >= min(len(points) for points, _ in components):
         return INAPPLICABLE
     grid = CartesianSet([list(points) for points, _ in components])
     product = cartesian_scalars([list(scalars) for _, scalars in components])
@@ -498,10 +456,9 @@ def search_lcd(
     examined = 0
     for grid_combo in _product(component_sets, m):
         grid = CartesianSet([list(comp) for comp in grid_combo])
-        set_data = PointSetData(grid.components[0]) if m == 1 else None
         for scalars in _scalar_vectors(field, grid.size, scalar_policy, seed):
             if m == 1:
-                analysis = UnivariateLcdAnalysis(grid.components[0], scalars, set_data=set_data)
+                analysis = UnivariateLcdAnalysis(grid.components[0], scalars, grid.tables[0])
             for k in k_values:
                 if examined >= budget:
                     yield SearchTruncation(examined, budget)

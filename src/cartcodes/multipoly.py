@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .errors import FieldMismatchError
 from .field import Field, FieldElement, _divmod_vals
-from .unipoly import NEG_INF, Poly, _lagrange_sum_vals, formal_derivative, vanishing_poly
+from .unipoly import NEG_INF, PointSetData, Poly, _lagrange_sum_vals
 
 
 def grlex_key(exponents: tuple[int, ...]):
@@ -174,23 +174,12 @@ class MPoly:
             raise ValueError(
                 f"point has arity {len(point)}, polynomial has {self.nvars} variables"
             )
-        # Per-variable power cache: exponents repeat across terms.
-        powers: list[dict[int, FieldElement]] = [
-            {0: self.field.one, 1: x} for x in point
-        ]
         acc = self.field.zero
         for exps, c in self.terms.items():
-            term = c
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                cache = powers[i]
-                pw = cache.get(e)
-                if pw is None:
-                    pw = cache[1] ** e
-                    cache[e] = pw
-                term = term * pw
-            acc = acc + term
+            for x, e in zip(point, exps):
+                if e:
+                    c = c * x**e
+            acc = acc + c
         return acc
 
     __call__ = evaluate
@@ -240,19 +229,11 @@ class CartesianSet:
 
     Points are enumerated row-major with the rightmost component varying
     fastest; every vector and matrix downstream is indexed in this order.
+    A set is built in O(n_1 + ... + n_m): ``points`` is enumerated on access,
+    and ``tables`` (a :class:`~cartcodes.unipoly.PointSetData` per component) on first use.
     """
 
-    __slots__ = (
-        "field",
-        "components",
-        "sizes",
-        "nvars",
-        "size",
-        "points",
-        "_index",
-        "_generators",
-        "_derivatives",
-    )
+    __slots__ = ("field", "components", "sizes", "nvars", "size", "_tables")
 
     def __init__(self, components: Sequence[Sequence[FieldElement]]):
         if not components:
@@ -271,37 +252,43 @@ class CartesianSet:
         self.sizes = tuple(len(comp) for comp in comps)
         self.nvars = len(comps)
         self.size = prod(self.sizes)
-        self.points = tuple(itertools.product(*comps))
-        self._index = {
-            tuple(a.val for a in point): i for i, point in enumerate(self.points)
-        }
-        self._generators = None
-        self._derivatives = None
+        self._tables = None
 
     @classmethod
     def from_ints(cls, field: Field, components: Sequence[Sequence[int]]) -> "CartesianSet":
         return cls([[field.element(x) for x in comp] for comp in components])
 
+    @property
+    def points(self) -> tuple[tuple[FieldElement, ...], ...]:
+        return tuple(itertools.product(*self.components))
+
+    @property
+    def tables(self) -> tuple[PointSetData, ...]:
+        if self._tables is None:
+            self._tables = tuple(map(PointSetData, self.components))
+        return self._tables
+
     def point_index(self, point: Sequence[FieldElement]) -> int:
-        key = tuple(a.val for a in point)
-        idx = self._index.get(key)
-        if idx is None or any(a.field is not self.field for a in point):
-            raise ValueError(f"{[str(a) for a in point]} is not a grid point")
-        return idx
+        index = 0
+        try:
+            for a, comp in zip(point, self.components, strict=True):
+                index = index * len(comp) + comp.index(a)
+        except ValueError:
+            raise ValueError(f"{[str(a) for a in point]} is not a grid point") from None
+        return index
 
     def vanishing_generators(self) -> list[Poly]:
-        """The univariate generators L_i of the vanishing ideal (a Groebner
-        basis of it)."""
-        if self._generators is None:
-            self._generators = [vanishing_poly(list(comp)) for comp in self.components]
-        return list(self._generators)
+        """The generators L_i of the vanishing ideal, a Groebner basis of it."""
+        return [table.L for table in self.tables]
 
     def derivative_values(self) -> list[list[FieldElement]]:
         """L_i'(a) for every component i and element a of A_i."""
-        if self._derivatives is None:
-            derivs = map(formal_derivative, self.vanishing_generators())
-            self._derivatives = [[d(a) for a in comp] for d, comp in zip(derivs, self.components)]
-        return [list(row) for row in self._derivatives]
+        return [list(map(self.field._get, table.derivatives)) for table in self.tables]
+
+    def _point_derivatives(self) -> list[int]:
+        """Codes of prod_i L_i'(p_i) for the grid points p, in grid order."""
+        lags = itertools.product(*(table.derivatives for table in self.tables))
+        return [reduce(self.field.mul, lag) for lag in lags]
 
     def __repr__(self):
         comps = " x ".join(
@@ -323,12 +310,10 @@ class CartesianSet:
 
 def _grid_lagrange_sum(aset: CartesianSet, weights: Sequence[int]) -> MPoly:
     """:func:`_lagrange_sum_vals` on the grid, one weight code per point."""
-    field, gens = aset.field, aset.vanishing_generators()
-    axes = [(li.vals, field._codes_of(comp)) for li, comp in zip(gens, aset.components)]
-    vals = _lagrange_sum_vals(field, axes, weights)
     exponents = itertools.product(*map(range, aset.sizes))
-    terms = {exps: field._get(c) for exps, c in zip(exponents, vals) if c}
-    return MPoly._from_terms(field, aset.nvars, terms)
+    vals = _lagrange_sum_vals(aset.tables, weights)
+    terms = {exps: aset.field._get(c) for exps, c in zip(exponents, vals) if c}
+    return MPoly._from_terms(aset.field, aset.nvars, terms)
 
 
 def reduce_mod_ideal(f: MPoly, aset: CartesianSet) -> MPoly:
@@ -344,7 +329,7 @@ def reduce_mod_ideal(f: MPoly, aset: CartesianSet) -> MPoly:
     if f.field is not field:
         raise FieldMismatchError(f"cannot reduce over {f.field} modulo a set over {field}")
     terms = dict(zip(f.terms, field._codes_of(f.terms.values())))
-    for i, li in enumerate(aset.vanishing_generators()):
+    for i, table in enumerate(aset.tables):
         lines: dict[tuple[int, ...], list[int]] = {}
         for exps, c in terms.items():
             line = lines.setdefault(exps[:i] + exps[i + 1 :], [])
@@ -352,7 +337,7 @@ def reduce_mod_ideal(f: MPoly, aset: CartesianSet) -> MPoly:
             line[exps[i]] = c
         terms = {}
         for rest, line in lines.items():
-            for e, c in enumerate(_divmod_vals(field, line, li.vals)[1]):
+            for e, c in enumerate(_divmod_vals(field, line, table.L.vals)[1]):
                 if c:
                     terms[rest[:i] + (e,) + rest[i:]] = c
     return MPoly._from_terms(f.field, f.nvars, {e: field._get(c) for e, c in terms.items()})
@@ -379,10 +364,8 @@ def interpolate_multivariate(
         raise ValueError(
             f"expected {aset.size} values (one per grid point), got {len(values)}"
         )
-    field = aset.field
-    mul, inv = field.mul, field.inv
-    lags = itertools.product(*([d.val for d in row] for row in aset.derivative_values()))
-    weights = [mul(y, inv(reduce(mul, lag))) for y, lag in zip(field._codes_of(values), lags)]
+    mul, inv, codes = aset.field.mul, aset.field.inv, aset.field._codes_of(values)
+    weights = [mul(y, inv(d)) for y, d in zip(codes, aset._point_derivatives())]
     return _grid_lagrange_sum(aset, weights)
 
 

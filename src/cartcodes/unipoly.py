@@ -8,9 +8,9 @@ with full Bezout bookkeeping.
 Each has one kernel on lists of integer element codes, on the primitives of
 :class:`~cartcodes.field.Field`: products and long division in field.py,
 which field construction runs on too; evaluation and division by X - a in
-the field's ``horner``; here :func:`_root_product_vals`,
-:func:`_lagrange_sum_vals` (Lagrange sums over grids of any number of
-axes) and :func:`_eea_vals`.  A :class:`Poly` stores its coefficients as
+the field's ``horner``; here :func:`_root_product_vals`, the point-set
+table :class:`PointSetData`, :func:`_lagrange_sum_vals` (grid Lagrange
+sums) and :func:`_eea_vals`.  A :class:`Poly` stores its coefficients as
 codes, so field elements appear only where one is built or read out.
 """
 
@@ -268,33 +268,82 @@ def formal_derivative(f: Poly) -> Poly:
     )
 
 
-def _lagrange_sum_vals(field: Field, axes, weights: Sequence[int]) -> list[int]:
-    """Codes of the sum over grid points p of w_p * prod_i L_i / (X_i - p_i),
-    from one pair (codes of L_i, codes of A_i) per axis and one weight per
-    point; points and the result's exponent vectors run in grid point order.
-    Each axis, last first, has its lines multiplied by the rows L_i / (X_i - p)
-    and is rotated to the front: n * (n_1 + ... + n_m) products in all."""
+class PointSetData:
+    """The table of one point set A on integer codes that the LCD criterion,
+    every Lagrange sum and the dual scalars read: the point ``codes``, the
+    vanishing polynomial ``L`` and, each worked out on first read, the
+    ``rows`` (for each point a, the codes of L / (X - a), the Horner sums of
+    L at a past its value) and the ``derivatives`` (the codes of L'(a), by
+    Horner on the formal derivative), so a reader pays O(n^2) for what it
+    reads.  ``lagrange_terms`` gives the rows as :class:`Poly` objects.
+    """
+
+    __slots__ = ("points", "field", "codes", "L", "_rows", "_derivatives")
+
+    def __init__(self, points: Sequence[FieldElement]):
+        self.points = tuple(points)
+        self.L = L = vanishing_poly(self.points)
+        self.field = L.field
+        self.codes = L.field._codes_of(self.points)
+        self._rows = self._derivatives = None
+
+    @property
+    def rows(self) -> list[list[int]]:
+        if self._rows is None:
+            self._rows = [self.field.horner(self.L.vals, a)[1:] for a in self.codes]
+        return self._rows
+
+    @property
+    def lagrange_terms(self) -> tuple[Poly, ...]:
+        return tuple(Poly._from_vals(self.field, row) for row in self.rows)
+
+    @property
+    def derivatives(self) -> list[int]:
+        if self._derivatives is None:
+            derivative = formal_derivative(self.L).vals
+            self._derivatives = [self.field.horner(derivative, a)[0] for a in self.codes]
+        return self._derivatives
+
+    def associated_poly(self, scalars: Sequence[FieldElement]) -> Poly:
+        """H = sum of v_a^2 * L / (X - a): the Lagrange sum of the squares."""
+        if len(scalars) != len(self.points):
+            raise ValueError("need one scalar per point")
+        field = self.field
+        codes = field._codes_of(scalars)
+        if not all(codes):
+            raise ValueError("scalars must be nonzero")
+        squares = [field.mul(v, v) for v in codes]
+        return Poly._from_vals(field, _trim(_lagrange_sum_vals([self], squares)))
+
+
+def _lagrange_sum_vals(tables: Sequence[PointSetData], weights: Sequence[int]) -> list[int]:
+    """Codes of the sum over the points p of the grid A_1 x ... x A_m of
+    w_p * prod_i L_i / (X_i - p_i), from one table per axis and one weight
+    code per point; points and the result's exponent vectors run in grid
+    point order.  Each axis, last first, has its lines of weights multiplied
+    by its table's rows in the product kernel and is rotated to the front."""
+    field = tables[0].field
     data = list(weights)
-    for L, points in reversed(axes):
-        factor_cols = list(zip(*[field.horner(L, a)[1:] for a in points]))
-        lines = [data[i : i + len(points)] for i in range(0, len(data), len(points))]
-        data = [c for col in zip(*_matmul_vals(field, lines, factor_cols)) for c in col]
+    for table in reversed(tables):
+        size = len(table.rows)
+        lines = [data[i : i + size] for i in range(0, len(data), size)]
+        data = [c for col in zip(*_matmul_vals(field, lines, [*zip(*table.rows)])) for c in col]
     return data
 
 
 def interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Poly:
     """The unique polynomial of degree < len(points) through the points: the
-    Lagrange sum with weights y / L'(x), each L'(x) the value of L / (X - x) at x."""
+    Lagrange sum with weights y / L'(x)."""
     if not points:
         raise ValueError("cannot interpolate an empty point list")
     field = points[0][0].field
-    xv, yv = field._codes_of(x for x, _ in points), field._codes_of(y for _, y in points)
+    xs, ys = zip(*points)
+    xv, yv = field._codes_of(xs), field._codes_of(ys)
     if len(set(xv)) != len(xv):
         raise ValueError("interpolation points must have distinct x-coordinates")
-    L = _root_product_vals(field, xv)
-    mul, inv, horner = field.mul, field.inv, field.horner
-    weights = [mul(y, inv(horner(horner(L, x)[1:], x)[0])) for x, y in zip(xv, yv)]
-    return Poly._from_vals(field, _trim(_lagrange_sum_vals(field, [(L, xv)], weights)))
+    table = PointSetData(xs)
+    weights = [field.mul(y, field.inv(d)) for y, d in zip(yv, table.derivatives)]
+    return Poly._from_vals(field, _trim(_lagrange_sum_vals([table], weights)))
 
 
 # -- extended Euclidean remainder sequence -------------------------------------

@@ -224,6 +224,16 @@ def test_usage_errors_exit_two(capsys):
          "--k", "1"),
         ("lcd", "--field", "11", "--set", ";".join([",".join(map(str, range(11)))] * 3),
          "--k", "1"),
+        # codes outside [0, q) over a prime field
+        ("lcd", "--field", "7", "--set", "0,8", "--k", "1"),
+        ("lcd", "--field", "7", "--set", "1,8", "--k", "1"),
+        ("params", "--field", "7", "--set=-1,2", "--scalars", "1,9", "--k", "1", "--json"),
+        ("params", "--field", "7", "--set", "0,2", "--scalars", "1,9", "--k", "1", "--json"),
+        # grids refused before any point is enumerated: 2^40 and 3^12 points
+        *((command, "--field", "7", "--set", ";".join(["0,1"] * 40), "--k", "1")
+          for command in ("lcd", "params", "dual")),
+        *((command, "--field", "7", "--set", ";".join(["0,1,2"] * 12), "--k", "1")
+          for command in ("lcd", "dual")),
     ]
     named = {
         cases[7]: "--scalars",
@@ -246,6 +256,11 @@ def test_usage_errors_exit_two(capsys):
         cases[24]: "--m",
         cases[25]: "--field",
         cases[26]: "--set",
+        cases[27]: "--set",
+        cases[28]: "--set",
+        cases[29]: "--set",
+        cases[30]: "--scalars",
+        **{argv: "--set" for argv in cases[31:]},
     }
     for argv in cases:
         start = time.perf_counter()
@@ -256,6 +271,17 @@ def test_usage_errors_exit_two(capsys):
         assert err.strip(), argv
         if argv in named:
             assert err.startswith(f"error: {named[argv]}:"), argv
+
+
+def test_params_bounds_a_grid_by_its_generator_cells(capsys):
+    # 101 x 101 points: a degree-2 generator has 3 rows of 10,201 columns,
+    # a degree-100 one 5,050 rows, past DEFAULT_BRUTE_BUDGET cells
+    grid = ";".join([",".join(map(str, range(101)))] * 2)
+    code, out, _ = run(capsys, "params", "--field", "101", "--set", grid, "--k", "2", "--json")
+    assert code == 0 and json.loads(out)["dim"] == 3
+    code, out, err = run(capsys, "params", "--field", "101", "--set", grid, "--k", "100")
+    assert code == 2 and not out
+    assert err.startswith("error: --set: a grid of 10201 points is too big")
 
 
 def test_search_over_large_fields_builds_only_what_it_examines(capsys):

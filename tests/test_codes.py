@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -96,6 +98,46 @@ def test_dimension_formula_matches_basis_count():
         for k in range(1, sum(cset.sizes) + 2):
             spec = CartesianSpec.with_unit_scalars(cset, k)
             assert dimension_formula(spec) == len(monomial_basis(cset, k))
+
+
+def full_inclusion_exclusion(sizes, k):
+    """The dimension by inclusion-exclusion over every subset of the
+    components, the sum of (-1)^|S| C(m + k - 1 - sum(S), m) over those
+    with sum(S) <= k - 1."""
+    m, cap = len(sizes), k - 1
+    return sum(
+        (-1) ** r * math.comb(m + cap - sum(subset), m)
+        for r in range(m + 1)
+        for subset in itertools.combinations(sizes, r)
+        if sum(subset) <= cap
+    )
+
+
+def test_dimension_walk_matches_full_enumeration():
+    rng = random.Random(0xD1A)
+    for _ in range(300):
+        m = rng.randrange(1, 8)
+        comps = [sorted(rng.sample(range(13), rng.randrange(1, 6))) for _ in range(m)]
+        cset = CartesianSet.from_ints(F13, comps)
+        for k in range(1, sum(cset.sizes) - m + 2):
+            assert dimension_formula(cset, k) == full_inclusion_exclusion(cset.sizes, k)
+
+
+def test_dimension_of_many_one_point_components_is_prompt():
+    # 2^31 subsets of the components, of which only the empty one has a
+    # size sum within the cap k - 1 = 0
+    cset = CartesianSet.from_ints(F7, [[0]] * 30 + [[0, 1]])
+    start = time.perf_counter()
+    assert dimension_formula(cset, 1) == 1
+    assert time.perf_counter() - start < 1.0
+    # one-point components leave the count of the other components as it is
+    wide = CartesianSet.from_ints(F13, [[0]] * 30 + [list(range(8))] * 2)
+    start = time.perf_counter()
+    assert [dimension_formula(wide, k) for k in range(1, 16)] == [
+        dimension_formula(CartesianSet.from_ints(F13, [list(range(8))] * 2), k)
+        for k in range(1, 16)
+    ]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_min_distance_reed_solomon():

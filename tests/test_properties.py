@@ -1024,6 +1024,65 @@ def test_point_set_data_matches_element_reference():
         assert data.associated_poly(v) == expected
 
 
+# prime, tabled and untabled, and the extension fields of the tables
+TABLE_FIELDS = [GF(5), GF(13), GF(251), GF(2**31 - 1), GF(2, 2), GF(3, 2), GF(2, 8)]
+
+
+def reference_associated_poly(points, scalars):
+    """H by one row update per point: the sum of v^2 * lagrange_term."""
+    field = points[0].field
+    acc = [0] * len(points)
+    for a, v in zip(points, scalars):
+        field.sub_mul(acc, (-(v * v)).val, lagrange_term(points, a).vals, 0)
+    return Poly(field, [field._get(c) for c in acc])
+
+
+def reference_derivatives(points):
+    """L'(a) for each point a: the formal derivative of L, evaluated."""
+    derivative = formal_derivative(vanishing_poly(points))
+    return [derivative(a) for a in points]
+
+
+def reference_interpolation(points, values):
+    """The sum of y * lagrange_term / L'(x), on elements."""
+    field = points[0].field
+    total = Poly.zero(field)
+    for x, y, d in zip(points, values, reference_derivatives(points)):
+        total = total + lagrange_term(points, x).scale(y * d.inverse())
+    return total
+
+
+def test_point_set_tables_match_element_references():
+    rng = random.Random(0x7AB1)
+    for _ in range(CASES):
+        field = rng.choice(TABLE_FIELDS)
+        m = rng.randrange(1, 4)
+        grid = CartesianSet(
+            [random_subset(rng, field, 1, (8, 5, 3)[m - 1]) for _ in range(m)]
+        )
+        one = field.one
+        derivatives = [reference_derivatives(comp) for comp in grid.components]
+        assert grid.derivative_values() == derivatives
+        for comp, table in zip(grid.components, grid.tables):
+            v = random_scalars(rng, field, len(comp))
+            assert table.associated_poly(v) == reference_associated_poly(comp, v)
+            assert associated_poly_univariate(comp, v) == reference_associated_poly(comp, v)
+            y = [field._get(rng.randrange(field.order)) for _ in comp]
+            assert interpolate(list(zip(comp, y))) == reference_interpolation(comp, y)
+        lags = [math.prod(lag, start=one) for lag in itertools.product(*derivatives)]
+        values = [field._get(rng.randrange(field.order)) for _ in range(grid.size)]
+        weights = [y * lag.inverse() for y, lag in zip(values, lags)]
+        assert interpolate_multivariate(grid, values) == reference_lagrange_sum(grid, weights)
+        cap = sum(s - 1 for s in grid.sizes)
+        spec = CartesianSpec(grid, random_scalars(rng, field, grid.size), rng.randrange(1, cap + 2))
+        dual = dual_spec(spec)
+        if spec.trivial_range:
+            assert dual is None
+            continue
+        assert dual.k == cap - spec.k + 1 and dual.cset == grid
+        assert dual.scalars == tuple((v * lag).inverse() for v, lag in zip(spec.scalars, lags))
+
+
 def test_analysis_matches_eea_sequence():
     rng = random.Random(0xE7A5)
     for _ in range(CASES):
