@@ -299,7 +299,8 @@ def cmd_search(args) -> int:
 
 def cmd_masking(args) -> int:
     _check_at_least(args.trials, 0, "--trials")
-    spec = build_spec(args)
+    # the context inverts the n x n stack of the code's and the dual's generators
+    spec = build_spec(args, lambda cset: cset.size, "masking")
     try:
         transcript = masking_transcript(
             spec,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, format_count
 from .field import Field, FieldElement
 from .linalg import Matrix
 from .multipoly import CartesianSet, monomial_basis
@@ -305,7 +305,7 @@ def parameter_report(
             code.provenance = "brute-force"
         except BudgetExceededError as exc:
             report["d_bruteforce_skipped"] = (
-                f"enumeration of {exc.required} codewords exceeds budget {exc.budget}"
+                f"enumeration of {format_count(exc.required)} codewords exceeds budget {exc.budget}"
             )
     return report
 

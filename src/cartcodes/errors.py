@@ -20,6 +20,16 @@ class SingularMatrixError(ValueError):
     """Raised when a singular matrix is inverted."""
 
 
+def format_count(count: int) -> str:
+    """``count`` in decimal, or the bound "more than 10^D" when it has more
+    digits than the interpreter converts (4,300 by default)."""
+    try:
+        return str(count)
+    except ValueError:
+        # 0.30102 < log10(2), so 10^D <= 2^(bit_length - 1) <= count
+        return f"more than 10^{(count.bit_length() - 1) * 30102 // 100000}"
+
+
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the caller's budget.
 
@@ -28,7 +38,7 @@ class BudgetExceededError(RuntimeError):
 
     def __init__(self, required, budget):
         super().__init__(
-            f"enumeration of {required} items exceeds budget {budget}"
+            f"enumeration of {format_count(required)} items exceeds budget {budget}"
         )
         self.required = required
         self.budget = budget

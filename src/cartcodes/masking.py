@@ -2,9 +2,10 @@
 
 An LCD code C splits K^n as C ⊕ C⊥, so any state vector z decomposes
 uniquely as z = x'G + yH with G a generator of C and H a generator of C⊥.
-The y part is recoverable by projection, and an additive fault ε on z
-changes y exactly when ε is outside C — so every fault of weight below the
-minimum distance of C is detected.
+Equivalently, the n x n stack S of G over H is invertible (Massey 1992):
+(x', y) is z S^(-1), cut after the first k coordinates.  An additive fault
+ε on z changes y exactly when ε is outside C — so every fault of weight
+below the minimum distance of C is detected.
 """
 
 from __future__ import annotations
@@ -12,18 +13,17 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .codes import (
     DEFAULT_BRUTE_BUDGET,
     CartesianSpec,
     LinearCode,
-    brute_force_min_distance,
     dual_spec,
     generator_matrix,
     min_distance_formula,
 )
-from .errors import BudgetExceededError, InconsistencyError, NotLcdError
+from .errors import BudgetExceededError, InconsistencyError, NotLcdError, SingularMatrixError
 from .field import FieldElement
 from .lcd import is_lcd_bruteforce
 from .linalg import Matrix
@@ -36,8 +36,8 @@ class MaskingContext:
     spec: CartesianSpec
     code: LinearCode
     parity: Matrix  # rows span the dual code
-    gram_inv: Matrix  # (G G^T)^(-1)
-    parity_gram_inv: Matrix  # (H H^T)^(-1)
+    stack: Matrix  # the generator rows over the parity rows, n x n
+    stack_inv: Matrix
 
     @property
     def n(self) -> int:
@@ -45,7 +45,8 @@ class MaskingContext:
 
 
 def build_context(spec: CartesianSpec) -> MaskingContext:
-    """Verify the code is LCD and precompute both projection inverses.
+    """Verify the code is LCD and invert the stack of its generator over
+    the dual's.
 
     The parity rows come from the constructive dual (same set, reflected
     degree, reciprocal scalars) rather than from a nullspace computation;
@@ -64,40 +65,29 @@ def build_context(spec: CartesianSpec) -> MaskingContext:
         parity = Matrix.empty(spec.field, spec.n)
     else:
         parity = generator_matrix(dual).generator
-    G = code.generator
-    gram_inv = (G @ G.transpose()).inverse()
-    parity_gram_inv = (parity @ parity.transpose()).inverse()
-    ctx = MaskingContext(
-        spec=spec,
-        code=code,
-        parity=parity,
-        gram_inv=gram_inv,
-        parity_gram_inv=parity_gram_inv,
-    )
     # C ⊕ C⊥ must fill the whole space; anything else is a bug upstream.
     if code.dimension + parity.nrows != spec.n:
         raise InconsistencyError("code and dual dimensions do not fill the space")
-    if G.vstack(parity).rank() != spec.n:
-        raise InconsistencyError("code plus dual failed to span the space")
-    return ctx
+    stack = code.generator.vstack(parity)
+    try:
+        stack_inv = stack.inverse()
+    except SingularMatrixError as exc:
+        raise InconsistencyError("code plus dual failed to span the space") from exc
+    return MaskingContext(spec=spec, code=code, parity=parity, stack=stack, stack_inv=stack_inv)
 
 
 def split(
     ctx: MaskingContext, z: Sequence[FieldElement]
 ) -> tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]:
-    """Unique coordinates (x', y) with z = x'G + yH, by projection."""
+    """Unique coordinates (x', y) with z = x'G + yH: z times the inverse of
+    the stack, cut after the first k coordinates."""
     if len(z) != ctx.n:
         raise ValueError(f"expected a vector of length {ctx.n}, got {len(z)}")
-    G, H = ctx.code.generator, ctx.parity
-    field = G.field
-    dot, get = field.dot, field._get
-    z_codes = field._codes_of(z)
-    # z G^T and z H^T: one dot product per code row (H may have no rows)
-    x_part = ctx.gram_inv.row_vector_mul([get(dot(row, z_codes)) for row in G.vals])
-    y_part = ctx.parity_gram_inv.row_vector_mul([get(dot(row, z_codes)) for row in H.vals])
-    if G.vstack(H).row_vector_mul(x_part + y_part) != tuple(z):
+    coords = ctx.stack_inv.row_vector_mul(z)
+    if ctx.stack.row_vector_mul(coords) != tuple(z):
         raise InconsistencyError("projection did not recompose to the input")
-    return x_part, y_part
+    k = ctx.code.dimension
+    return coords[:k], coords[k:]
 
 
 def detect_fault(
@@ -120,7 +110,6 @@ def masking_transcript(
     trials: int = 100,
     seed: int = 0,
     exhaustive: bool = False,
-    brute_budget: Optional[int] = None,
 ) -> dict:
     """Run seeded (or exhaustive) fault injections and summarize.
 
@@ -136,12 +125,6 @@ def masking_transcript(
         raise BudgetExceededError(field.order**n, DEFAULT_BRUTE_BUDGET)
     ctx = build_context(spec)
     d, _ = min_distance_formula(spec)
-    if brute_budget:
-        d_check = brute_force_min_distance(ctx.code, brute_budget)
-        if d_check != d:
-            raise InconsistencyError(
-                f"distance formula {d} disagrees with enumeration {d_check}"
-            )
     rng = random.Random(seed)
     get, q = field._get, field.order
 

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 import time
@@ -231,9 +233,10 @@ def test_usage_errors_exit_two(capsys):
         ("params", "--field", "7", "--set", "0,2", "--scalars", "1,9", "--k", "1", "--json"),
         # grids refused before any point is enumerated: 2^40 and 3^12 points
         *((command, "--field", "7", "--set", ";".join(["0,1"] * 40), "--k", "1")
-          for command in ("lcd", "params", "dual")),
+          for command in ("lcd", "params", "dual", "masking")),
         *((command, "--field", "7", "--set", ";".join(["0,1,2"] * 12), "--k", "1")
-          for command in ("lcd", "dual")),
+          for command in ("lcd", "dual", "masking")),
+        ("masking", "--field", "7", "--set", ";".join(["0,1,2"] * 7), "--k", "1"),
     ]
     named = {
         cases[7]: "--scalars",
@@ -271,6 +274,24 @@ def test_usage_errors_exit_two(capsys):
         assert err.strip(), argv
         if argv in named:
             assert err.startswith(f"error: {named[argv]}:"), argv
+
+
+def test_counts_past_the_decimal_digit_limit(capsys):
+    # (2^31 - 1)^480 and ^470 have over 4,300 digits, more than the
+    # interpreter converts to decimal by default
+    points = [str(x) for x in range(500)]
+    code, out, _ = run(capsys, "params", "--field", "2147483647", "--set", ",".join(points),
+                       "--k", "480", "--budget", "10", "--json")
+    assert code == 0
+    assert json.loads(out)["d_bruteforce_skipped"] == (
+        "enumeration of more than 10^4478 codewords exceeds budget 10"
+    )
+    code, out, err = run(capsys, "masking", "--field", "2147483647", "--set",
+                         ",".join(points[:470]), "--k", "1", "--exhaustive")
+    assert code == 2 and not out
+    assert err == (
+        "error: --exhaustive: enumeration of more than 10^4385 items exceeds budget 1000000\n"
+    )
 
 
 def test_params_bounds_a_grid_by_its_generator_cells(capsys):
@@ -394,3 +415,101 @@ def test_parse_helpers():
         parse_range("0:1000000", "--k")
     with pytest.raises(UsageError):
         parse_field("x")
+
+
+# (good values, bad values) of each flag the spec commands share
+_FUZZ_FIELDS = (("7", "11", "13", "2^2", "3^2", "2^8", "2147483647", "2^2:1,1,1"),
+                ("6", "1", "2^256", "2147483647^4", "2^2:1,0,1", "7:1", "x", ""))
+_FUZZ_GRIDS = (";".join(["0,1"] * 40), ";".join(["0,1,2"] * 12))
+_FUZZ_SMALL_SETS = (("0,1,2", "0", "0;0,1,2", "0,1,2;0"),
+                    ("0,0,1", "0,1;", ";", "", "0,8", "-1,2", "a", *_FUZZ_GRIDS))
+_FUZZ_SETS = (_FUZZ_SMALL_SETS[0] + ("0,1,2,3", "1,2,3,4,5", "0,1;0,1", "0,1,2;0,1",
+                                     "0,1;0,1;0,1", "0,1,2,3,4,5,6,7,8,9,10"),
+              _FUZZ_SMALL_SETS[1])
+_FUZZ_SCALARS = (("ones", "ones", "ones", "1,1,2", "1,2,3,4", "1,2;3,4", "2;3,4"),
+                 ("0,1,1", "1,2", "1,1,1;1,1", "1;1", "x", ""))
+_FUZZ_K = (("1", "2", "3", "7", "99999999999"), ("0", "-1", "x", ""))
+
+
+def _fuzz_argv(rng):
+    """One command line: a subcommand, then each of its flags with a good
+    value, a bad one or none, and now and then an unknown flag."""
+    pick = rng.choice
+
+    def flag(name, values):
+        good, bad = values
+        roll = rng.random()
+        if roll < 0.03:
+            return []
+        return [name, pick(bad if roll < 0.13 else good)]
+
+    def switch(name):
+        return [name] if rng.random() < 0.5 else []
+
+    command = pick(("params", "dual", "lcd", "search", "masking", "reproduce-paper"))
+    argv = [command]
+    if command in ("params", "dual", "lcd", "masking"):
+        exhaustive = command == "masking" and rng.random() < 0.3
+        # q^n faults: only sets of one or three points, or refused ones, stay fast
+        argv += flag("--field", _FUZZ_FIELDS)
+        argv += flag("--set", _FUZZ_SMALL_SETS if exhaustive else _FUZZ_SETS)
+        argv += flag("--scalars", _FUZZ_SCALARS) + flag("--k", _FUZZ_K) + switch("--json")
+        argv += ["--exhaustive"] if exhaustive else []
+    if command == "params":
+        argv += flag("--budget", (("0", "1", "10", "1000"), ("-1", "x")))
+    elif command == "lcd":
+        argv += flag("--k-range", (("1:3", "1:8", "2"), ("2:1", "0:2", "1:99999999999", "x")))
+        argv += switch("--expect-lcd")
+    elif command == "masking":
+        argv += flag("--trials", (("0", "1", "5", "20"), ("-5", "x")))
+        argv += flag("--seed", (("0", "3", "-1"), ("x",)))
+    elif command == "search":
+        argv += flag("--field", _FUZZ_FIELDS)
+        argv += flag("--m", (("1", "2", "3"), ("0", "24", "x")))
+        argv += flag("--sizes", (("1", "3", "2:3", "4"), ("0", "9", "1:99999999999", "x")))
+        argv += flag("--k-range", (("1", "1:3"), ("0:1", "2:1", "x")))
+        argv += flag("--scalar-policy", (("ones", "exhaustive", "random:2"),
+                                         ("random:0", "bogus", "random:\u00b2")))
+        # the default budget of 10,000 records is slow, not wrong
+        argv += ["--budget", pick(("0", "1", "4", "20", "-1", "x"))]
+        argv += flag("--seed", (("0", "5"), ("x",)))
+    elif command == "reproduce-paper":
+        argv += switch("--json")
+    if rng.random() < 0.03:
+        argv.append("--bogus")
+    return argv
+
+
+class _CaseTimeout(Exception):
+    pass
+
+
+def _case_timeout(signum, frame):
+    raise _CaseTimeout
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+def test_seeded_argv_fuzz(capsys):
+    # each case exits 0, 1 or 2 (argparse's own exit 2 included) without a
+    # traceback, within the bound; exit 3 would be a disagreement between routes
+    rng = random.Random(20)
+    seconds = 2.0
+    previous = signal.signal(signal.SIGALRM, _case_timeout)
+    try:
+        for _ in range(1000):
+            argv = _fuzz_argv(rng)
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except _CaseTimeout:
+                pytest.fail(f"{argv} ran past {seconds} s")
+            except Exception as exc:
+                pytest.fail(f"{argv} raised {exc!r}")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            capsys.readouterr()
+            assert code in (0, 1, 2), argv
+    finally:
+        signal.signal(signal.SIGALRM, previous)

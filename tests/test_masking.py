@@ -9,7 +9,9 @@ from cartcodes import (
     GF,
     BudgetExceededError,
     CartesianSpec,
+    Matrix,
     NotLcdError,
+    brute_force_min_distance,
     build_context,
     detect_fault,
     dual_spec,
@@ -33,6 +35,8 @@ def test_build_context_valid():
     assert ctx.code.dimension == 2
     assert ctx.parity.nrows == 1
     assert ctx.code.generator.vstack(ctx.parity).rank() == 3
+    assert ctx.stack == ctx.code.generator.vstack(ctx.parity)
+    assert ctx.stack @ ctx.stack_inv == Matrix.identity(F7, 3)
 
 
 def test_build_context_rejects_non_lcd():
@@ -181,7 +185,10 @@ def test_transcript_seeded_large_field_stays_small():
 
 
 def test_transcript_exhaustive():
-    transcript = masking_transcript(LCD_SPEC, exhaustive=True, brute_budget=10**4)
+    transcript = masking_transcript(LCD_SPEC, exhaustive=True)
+    assert transcript["code_params"]["d"] == brute_force_min_distance(
+        generator_matrix(LCD_SPEC), 10**4
+    )
     assert transcript["faults_injected"] == 343
     assert transcript["missed"] == 49
     assert transcript["detected"] == 343 - 49
@@ -196,5 +203,14 @@ def test_transcript_exhaustive_has_a_budget():
     with pytest.raises(BudgetExceededError) as err:
         masking_transcript(spec, exhaustive=True)
     assert err.value.required == 13**8
+    assert str(err.value) == "enumeration of 815730721 items exceeds budget 1000000"
     with pytest.raises(NotLcdError):
         masking_transcript(spec, trials=1)
+    # q^470 has 4,387 digits, more than the interpreter prints by default;
+    # the message gives a bound, the exception the exact count
+    field = GF(2147483647)
+    spec = CartesianSpec.from_ints(field, [list(range(470))], [1] * 470, 1)
+    with pytest.raises(BudgetExceededError) as err:
+        masking_transcript(spec, exhaustive=True)
+    assert err.value.required == field.order**470
+    assert str(err.value) == "enumeration of more than 10^4385 items exceeds budget 1000000"
