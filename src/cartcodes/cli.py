@@ -301,6 +301,8 @@ def cmd_masking(args) -> int:
     _check_at_least(args.trials, 0, "--trials")
     # the context inverts the n x n stack of the code's and the dual's generators
     spec = build_spec(args, lambda cset: cset.size, "masking")
+    if spec.n * spec.n > DEFAULT_BRUTE_BUDGET:  # a one-component set, which the grid bound passes
+        raise UsageError(f"--set: a set of {spec.n} points is too big for masking")
     try:
         transcript = masking_transcript(
             spec,

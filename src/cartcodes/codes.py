@@ -30,16 +30,18 @@ class CartesianSpec:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"degree k must be a positive integer, got {self.k!r}")
-        object.__setattr__(self, "scalars", tuple(self.scalars))
-        if len(self.scalars) != self.cset.size:
+        k, cset = self.k, self.cset
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"degree k must be a positive integer, got {k!r}")
+        scalars = tuple(self.scalars)
+        object.__setattr__(self, "scalars", scalars)
+        if len(scalars) != cset.size:
             raise ValueError(
-                f"need {self.cset.size} scalars (one per grid point), "
-                f"got {len(self.scalars)}"
+                f"need {cset.size} scalars (one per grid point), got {len(scalars)}"
             )
-        for v in self.scalars:
-            if v.field is not self.field:
+        field = cset.field
+        for v in scalars:
+            if v.field is not field:
                 raise ValueError("scalars must live in the grid's field")
             if v.val == 0:
                 raise ValueError("scalars must be nonzero")

@@ -41,6 +41,10 @@ _TABLE_MAX_ORDER = 256
 
 _MAX_CHARACTERISTIC = 1 << 31
 
+# Prime fields up to this order invert by a lookup in a flat table, built in
+# one pass; larger ones by ``pow``.
+_INV_TABLE_MAX = 1 << 12
+
 # Testing a modulus costs about e^3 log p prime-field operations, as does an
 # inverse, so the order is capped (above GF(2^128) and GF(3^81)).  Ruling
 # out roots costs about 2 log2 p products, so the default-modulus search
@@ -178,11 +182,20 @@ def _is_irreducible(mod: Sequence[int], field: "Field") -> bool:
 def _find_modulus(field: "Field", e: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree e over the prime field GF(p), by
     integer encoding of the lower coefficients, among the first
-    ``_SEARCH_BITS // p.bit_length()``."""
+    ``_SEARCH_BITS // p.bit_length()``.
+
+    A candidate with a root is reducible (e >= 2).  Its value at 0 is its
+    constant term; values at every element cost p Horner passes, less than
+    Ben-Or's round for roots (about 2 log2 p products mod the candidate)
+    while p <= 4 e log2 p, so small fields rule roots out first."""
     p = field.p
     candidates = _SEARCH_BITS // p.bit_length()
+    horner = field.horner
+    roots = range(1, p) if p <= 4 * e * p.bit_length() else ()
     for code in range(candidates):
         mod = [code // p**i % p for i in range(e)] + [1]
+        if not mod[0] or any(horner(mod, a)[0] == 0 for a in roots):
+            continue
         if _is_irreducible(mod, field):
             return tuple(mod)
     raise ValueError(
@@ -627,6 +640,7 @@ class Field:
         "dot",
         "sub_mul",
         "scale",
+        "clear",
         "horner",
         "row_mul",
         "packed_echelon",
@@ -803,6 +817,10 @@ class Field:
         - ``sub_mul(y, a, x, shift)``: the row update
           ``y[shift + j] -= a * x[j]`` for every ``j``, in place;
         - ``scale(x, a, lo)``: ``x[j] *= a`` for every ``j >= lo``, in place;
+        - ``clear(rows, c, x)``: for each row ``y`` of ``rows``, the update
+          ``y[c + 1 + j] -= y[c] * x[j]`` for every ``j``, then ``y[c] = 0``,
+          in place: column c cleared by the pivot row whose entries past c
+          are ``x``, one call per pivot column;
         - ``horner(c, r)``: the Horner partial sums of the polynomial with
           coefficients ``c`` at ``r``, as a new list ``s`` with
           ``s[i] = c[i] + r * s[i + 1]``; ``s[0]`` is the value at ``r``
@@ -853,8 +871,16 @@ class Field:
             def neg(a):
                 return -a % p
 
-            def inv(a):
-                return pow(a, -1, p)
+            if p <= _INV_TABLE_MAX:
+                # 1/a = -(p // a) / (p mod a), as p = (p // a) a + p mod a
+                inv_v = [0, 1]
+                for a in range(2, p):
+                    inv_v.append((p - p // a) * inv_v[p % a] % p)
+                inv = inv_v.__getitem__
+            else:
+
+                def inv(a):
+                    return pow(a, -1, p)
 
             def dot(x, y):
                 return sum(map(_int_mul, x, y)) % p
@@ -868,6 +894,16 @@ class Field:
                 for j in range(lo, len(x)):
                     if x[j]:
                         x[j] = a * x[j] % p
+
+            def clear(rows, c, x):
+                lo = c + 1
+                for y in rows:
+                    a = y[c]
+                    if a:
+                        y[c] = 0
+                        for j, v in enumerate(x, lo):
+                            if v:
+                                y[j] = (y[j] - a * v) % p
 
             def horner(c, r):
                 acc = 0
@@ -883,7 +919,7 @@ class Field:
                 packing = _packing(partial(_packed_echelon, p), partial(_packed_matmul, p),
                                    next(rule for top, rule in _PACK_RULES if p <= top))
             return dict(add=add, mul=mul, neg=neg, inv=inv, dot=dot, sub_mul=sub_mul,
-                        scale=scale, horner=horner, row_mul=row_mul, **packing)
+                        scale=scale, clear=clear, horner=horner, row_mul=row_mul, **packing)
         if self.order <= _TABLE_MAX_ORDER:
             q = self.order
             add_v, mul_v, neg_v, inv_v, mul_rows = self._build_tables()
@@ -911,6 +947,17 @@ class Field:
                 for j in range(lo, len(x)):
                     x[j] = mul_v[row + x[j]]
 
+            def clear(rows, c, x):
+                lo = c + 1
+                for y in rows:
+                    a = y[c]
+                    if a:
+                        y[c] = 0
+                        row = neg_v[a] * q
+                        for j, v in enumerate(x, lo):
+                            if v:
+                                y[j] = add_v[y[j] * q + mul_v[row + v]]
+
             def horner(c, r):
                 acc, row = 0, r * q
                 sums = [acc := add_v[mul_v[row + acc] * q + x] for x in reversed(c)]
@@ -928,7 +975,8 @@ class Field:
                 packing = _packing(partial(_xor_echelon, tables, inv),
                                    partial(_xor_matmul, tables), _PACK_RULE_BYTES)
             return dict(add=add, mul=mul, neg=neg_v.__getitem__, inv=inv, dot=dot,
-                        sub_mul=sub_mul, scale=scale, horner=horner, row_mul=row_mul, **packing)
+                        sub_mul=sub_mul, scale=scale, clear=clear, horner=horner,
+                        row_mul=row_mul, **packing)
         add, mul, neg = self._add_val, self._mul_val, self._neg_val
 
         def dot(x, y):
@@ -949,6 +997,13 @@ class Field:
                 if x[j]:
                     x[j] = mul(a, x[j])
 
+        def clear(rows, c, x):
+            for y in rows:
+                a = y[c]
+                if a:
+                    y[c] = 0
+                    sub_mul(y, a, x, c + 1)
+
         def horner(c, r):
             acc = 0
             sums = [acc := add(mul(acc, r), x) for x in reversed(c)]
@@ -959,7 +1014,7 @@ class Field:
             return list(map(mul, x, y))
 
         return dict(add=add, mul=mul, neg=neg, inv=self._inv_val, dot=dot, sub_mul=sub_mul,
-                    scale=scale, horner=horner, row_mul=row_mul, **_UNPACKED)
+                    scale=scale, clear=clear, horner=horner, row_mul=row_mul, **_UNPACKED)
 
     # -- element construction ----------------------------------------------
 

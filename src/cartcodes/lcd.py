@@ -32,13 +32,14 @@ from math import prod
 from typing import Iterator, Optional, Sequence
 
 from .codes import (
+    DEFAULT_BRUTE_BUDGET,
     CartesianSpec,
     LinearCode,
     dimension_formula,
     generator_matrix,
     min_distance_formula,
 )
-from .errors import InconsistencyError
+from .errors import BudgetExceededError, InconsistencyError
 from .field import Field, FieldElement
 from .linalg import (
     Matrix,
@@ -145,6 +146,7 @@ class UnivariateLcdAnalysis:
         self.H = set_data.associated_poly(self.scalars)
         remainders = _eea_vals(set_data.field, self.L.vals, self.H.vals)[0]
         self.remainder_degrees = [len(r) - 1 for r in remainders[1:]]
+        self._gaps = None
 
     @functools.cached_property
     def eea(self) -> EeaResult:
@@ -156,33 +158,44 @@ class UnivariateLcdAnalysis:
         the remainder degrees of g_1, ..., g_{t+1}."""
         return frozenset(self.remainder_degrees)
 
-    @functools.cached_property
-    def _inside_gaps(self) -> frozenset:
-        """The values of n - k with deg g_i < n - k < deg g_{i-1} for some
-        row (deg g_0 = n): the gap rule, worked out once per analysis, on
-        the first :meth:`is_lcd` call."""
-        degs = [self.n] + self.remainder_degrees
-        return frozenset(
-            itertools.chain.from_iterable(
-                range(lo + 1, hi) for hi, lo in zip(degs, degs[1:])
-            )
-        )
-
     def is_lcd(self, k: int) -> bool:
         """Gap rule: LCD iff no row has deg g_i < n - k < deg g_{i-1}.
 
         On a correct remainder sequence this is membership of n - k in
         :meth:`admissible_codimensions`; the agreement sweeps compare the
-        two rules on every instance."""
+        two rules on every instance.  The values of n - k inside a gap
+        (deg g_0 = n) are worked out once per analysis, on the first call."""
         if k < 1:
             raise ValueError("degree k must be positive")
         if k > self.n:
             return True  # full-space code; the dual is zero
-        return self.n - k not in self._inside_gaps
+        gaps = self._gaps
+        if gaps is None:
+            degs = [self.n] + self.remainder_degrees
+            gaps = self._gaps = frozenset(
+                itertools.chain.from_iterable(
+                    range(lo + 1, hi) for hi, lo in zip(degs, degs[1:])
+                )
+            )
+        return self.n - k not in gaps
 
     def lcd_degrees(self) -> list[int]:
         """All k in 1..n giving an LCD code (k = n is the full space)."""
         return [k for k in range(1, self.n + 1) if self.is_lcd(k)]
+
+
+# The product criteria read one analysis per (point set, scalar vector) from
+# this table, keyed by the elements, that is by field and codes, as fields
+# are interned.  It keeps the _SHARED_ANALYSES most recently used, enough
+# for every component of a grid through its degree loops; each entry it
+# keeps raised the sweep benchmark's peak RSS, by about 0.5 MB at 256.  Its
+# analyses never leave this module.
+_SHARED_ANALYSES = 8
+
+
+@functools.lru_cache(maxsize=_SHARED_ANALYSES)
+def _shared_analysis(points: tuple, scalars: tuple) -> UnivariateLcdAnalysis:
+    return UnivariateLcdAnalysis(points, scalars)
 
 
 def lcd_admissible_set(
@@ -225,7 +238,13 @@ def is_lcd_bruteforce(spec: CartesianSpec, code: LinearCode | None = None) -> Lc
     n - rank of the stack.  When the stack is singular it also runs the
     Zassenhaus intersection, whose basis is the witness, and checks its
     size too.
+
+    A code whose n x n stack has more than ``DEFAULT_BRUTE_BUDGET`` cells
+    is refused with :class:`BudgetExceededError` before anything is built.
     """
+    cells = spec.n * spec.n
+    if cells > DEFAULT_BRUTE_BUDGET:
+        raise BudgetExceededError(cells, DEFAULT_BRUTE_BUDGET)
     if code is None:
         code = generator_matrix(spec)
     G = code.generator
@@ -283,7 +302,7 @@ def is_lcd_product_sufficient(
     if k < 1:
         raise ValueError("degree k must be positive")
     for points, scalars in components:
-        analysis = UnivariateLcdAnalysis(points, scalars)
+        analysis = _shared_analysis(tuple(points), tuple(scalars))
         for t in range(1, min(k, len(points)) + 1):
             if not analysis.is_lcd(t):
                 return UNKNOWN
@@ -307,7 +326,7 @@ def not_lcd_product(
     for points, scalars, t in components:
         if t < 1:
             raise ValueError("component degrees must be at least 1")
-        if UnivariateLcdAnalysis(points, scalars).is_lcd(t):
+        if _shared_analysis(tuple(points), tuple(scalars)).is_lcd(t):
             return UNKNOWN
     return NOT_LCD
 
@@ -328,7 +347,7 @@ def lcd_necessity_check(
     verdict = is_lcd_bruteforce(spec)
     if verdict.is_lcd:
         for points, scalars in components:
-            if not UnivariateLcdAnalysis(points, scalars).is_lcd(k):
+            if not _shared_analysis(tuple(points), tuple(scalars)).is_lcd(k):
                 raise InconsistencyError(
                     "product code is LCD but a component of the same degree "
                     f"is not (k={k})"

@@ -5,8 +5,8 @@ arithmetic needs no pivoting heuristics.  This module is the brute-force
 oracle layer, so it stays deliberately simple — but because the
 cross-validation sweeps call it millions of times, the elimination core
 works on raw integer element codes through the arithmetic primitives
-every field carries (the row update ``sub_mul``, ``scale``, ``dot``,
-``mul``, ``neg`` and ``inv``; see ``Field._make_primitives``).  A
+every field carries (the row updates ``sub_mul`` and ``clear``, ``scale``,
+``dot``, ``mul``, ``neg`` and ``inv``; see ``Field._make_primitives``).  A
 :class:`Matrix` stores those codes too, so the kernels read its rows
 directly; field elements appear only where a matrix is built from them or
 its entries are read out.  Each kernel has one body for every field: how
@@ -93,42 +93,37 @@ def _echelon_vals(
 def _echelon_entries(
     field: Field, rows: list[list[int]], ncols: int, reduce: bool = False
 ) -> list[int]:
-    """:func:`_echelon_vals` one entry at a time, through ``sub_mul``.  With
-    ``reduce`` one back-substitution pass follows, from the last pivot up,
-    so each pivot row is already clear of the later pivot columns."""
-    inv, sub_mul, scale = field.inv, field.sub_mul, field.scale
+    """:func:`_echelon_vals` one entry at a time: per pivot column, one
+    ``scale`` makes the pivot monic and one ``clear`` updates every row
+    below.  With ``reduce`` one back-substitution pass follows, from the
+    last pivot up, so each pivot row is already clear of the later pivot
+    columns."""
+    inv, scale, clear = field.inv, field.scale, field.clear
     pivots = []
     r = 0
     nrows = len(rows)
-    for c in range(ncols):
-        for i in range(r, nrows):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
+    for c in range(ncols if nrows else 0):
         row = rows[r]
+        if not row[c]:
+            for i in range(r + 1, nrows):
+                if rows[i][c]:
+                    break
+            else:
+                continue
+            row = rows[i]
+            rows[i] = rows[r]
+            rows[r] = row
         if row[c] != 1:
             scale(row, inv(row[c]), c)
-        tail = row[c + 1 :]
-        for other in rows[r + 1 :]:
-            factor = other[c]
-            if factor:
-                other[c] = 0
-                sub_mul(other, factor, tail, c + 1)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+        clear(rows[r:], c, row[c + 1 :])
     if reduce:
         for r in range(len(pivots) - 1, 0, -1):
             c = pivots[r]
-            tail = rows[r][c + 1 :]
-            for other in rows[:r]:
-                factor = other[c]
-                if factor:
-                    other[c] = 0
-                    sub_mul(other, factor, tail, c + 1)
+            clear(rows[:r], c, rows[r][c + 1 :])
     return pivots
 
 
@@ -226,10 +221,11 @@ class Matrix:
         rows: Iterable[Iterable[FieldElement]],
         ncols: int | None = None,
     ):
-        vals = tuple(tuple(field._codes_of(row)) for row in rows)
+        codes_of = field._codes_of
+        vals = tuple([tuple(codes_of(row)) for row in rows])
         if vals:
             ncols_actual = len(vals[0])
-            if any(len(row) != ncols_actual for row in vals):
+            if len(set(map(len, vals))) > 1:
                 raise ValueError("rows have inconsistent lengths")
             if ncols is not None and ncols != ncols_actual:
                 raise ValueError("ncols does not match row length")

@@ -99,10 +99,14 @@ def detect_fault(
     when the fault vector is not a codeword."""
     if len(fault) != ctx.n:
         raise ValueError(f"expected a fault of length {ctx.n}, got {len(fault)}")
-    _, y_clean = split(ctx, z)
+    return _moves_dual(ctx, z, split(ctx, z)[1], fault)
+
+
+def _moves_dual(ctx: MaskingContext, z, y_clean, fault) -> bool:
+    """Whether z + fault has a dual coordinate other than ``y_clean``, the
+    dual coordinate of z."""
     faulted = tuple(a + b for a, b in zip(z, fault))
-    _, y_faulted = split(ctx, faulted)
-    return y_faulted != y_clean
+    return split(ctx, faulted)[1] != y_clean
 
 
 def masking_transcript(
@@ -133,7 +137,9 @@ def masking_transcript(
         return tuple(get(rng.randrange(q)) for _ in range(n))
 
     if exhaustive:
+        # every fault probes one z, so it is split once
         z = random_vector()
+        y_clean = split(ctx, z)[1]
         faults = itertools.product(field.elements(), repeat=n)
     else:
         z = None
@@ -143,10 +149,13 @@ def masking_transcript(
     missed_outside_code = 0
     low_weight_missed = 0
     for fault in faults:
-        probe_z = z if z is not None else random_vector()
         injected += 1
         weight = sum(1 for x in fault if x.val)
-        if detect_fault(ctx, probe_z, fault):
+        if z is None:
+            moved = detect_fault(ctx, random_vector(), fault)
+        else:
+            moved = _moves_dual(ctx, z, y_clean, fault)
+        if moved:
             detected += 1
         else:
             missed += 1

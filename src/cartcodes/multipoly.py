@@ -12,7 +12,7 @@ Lagrange sum on codes with different weights.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
 from typing import Mapping, Sequence
 
@@ -243,9 +243,11 @@ class CartesianSet:
         for comp in comps:
             if not comp:
                 raise ValueError("components must be non-empty")
-            if any(a.field is not field for a in comp):
-                raise ValueError("all components must live in one field")
-            if len({a.val for a in comp}) != len(comp):
+            # one pass: the codes in the field, which are all of them and
+            # distinct exactly when the set is as long as the component
+            if len({a.val for a in comp if a.field is field}) != len(comp):
+                if any(a.field is not field for a in comp):
+                    raise ValueError("all components must live in one field")
                 raise ValueError(f"component {[str(a) for a in comp]} has repeats")
         self.field = field
         self.components = comps
@@ -374,10 +376,19 @@ def monomial_basis(aset: CartesianSet, k: int) -> list[tuple[int, ...]]:
     graded-lex order.  These index the rows of a degree-k generator matrix."""
     if k < 0:
         raise ValueError("degree bound must be nonnegative")
+    return list(_monomial_basis(aset.sizes, k))
+
+
+# Bases are kept for the most recently used (sizes, k) pairs, this many.
+_MONOMIAL_BASES = 64
+
+
+@lru_cache(maxsize=_MONOMIAL_BASES)
+def _monomial_basis(sizes: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
     out = [
         exps
-        for exps in itertools.product(*(range(min(n, k)) for n in aset.sizes))
+        for exps in itertools.product(*(range(min(n, k)) for n in sizes))
         if sum(exps) <= k - 1
     ]
     out.sort(key=grlex_key)
-    return out
+    return tuple(out)

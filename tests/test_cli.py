@@ -237,6 +237,8 @@ def test_usage_errors_exit_two(capsys):
         *((command, "--field", "7", "--set", ";".join(["0,1,2"] * 12), "--k", "1")
           for command in ("lcd", "dual", "masking")),
         ("masking", "--field", "7", "--set", ";".join(["0,1,2"] * 7), "--k", "1"),
+        # one component whose n x n stack is past the oracle's budget
+        ("masking", "--field", "1009", "--set", ",".join(map(str, range(1001))), "--k", "1"),
     ]
     named = {
         cases[7]: "--scalars",

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -38,6 +39,13 @@ def test_inverse():
         assert field.one.inverse() == field.one
     with pytest.raises(ZeroDivisionError):
         F7.zero.inverse()
+
+
+def test_prime_inverses_on_both_sides_of_the_table_bound():
+    # GF(p) up to 2^12 inverts through a table, larger ones through pow
+    for p in (2, 3, 4091, 4093, 4099):
+        inv = GF(p).inv
+        assert all(a * inv(a) % p == 1 for a in range(1, p)), p
 
 
 def test_enumerate_order():
@@ -218,6 +226,26 @@ def test_default_modulus_search():
     assert x ** 63 == f64.one
     for (p, e), modulus in DEFAULT_MODULI.items():
         assert GF(p, e).modulus == modulus, (p, e)
+
+
+def _first_irreducible(p, e):
+    """The default-modulus search without ruling out roots first: Ben-Or on
+    every candidate, in the search's order."""
+    for code in itertools.count():
+        mod = [code // p**i % p for i in range(e)] + [1]
+        if _is_irreducible(mod, GF(p)):
+            return tuple(mod)
+
+
+def test_root_check_keeps_the_default_modulus():
+    tabled = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(2, 9) if p**e <= 256]
+    larger = [(2, 9), (2, 16), (3, 7), (3, 10), (5, 4), (7, 3), (17, 2), (31, 3),
+              (101, 2), (1009, 3), (65521, 2), (2**31 - 1, 2)]
+    assert len(tabled) == 16
+    for p, e in tabled + larger:
+        expected = _first_irreducible(p, e)
+        assert _find_modulus(GF(p), e) == expected, (p, e)
+        assert GF(p, e).modulus == expected, (p, e)
 
 
 def _monic_polys(p, degree):

@@ -8,6 +8,7 @@ import pytest
 import cartcodes.lcd
 from cartcodes import (
     GF,
+    BudgetExceededError,
     CartesianSet,
     CartesianSpec,
     FieldMismatchError,
@@ -30,6 +31,7 @@ from cartcodes import (
     search_lcd,
     vanishing_poly,
 )
+from cartcodes.codes import DEFAULT_BRUTE_BUDGET
 from cartcodes.lcd import LCD, NOT_LCD, UNKNOWN, INAPPLICABLE
 
 F7 = GF(7)
@@ -205,6 +207,29 @@ def test_bruteforce_compares_hull_dimensions(monkeypatch):
     monkeypatch.setattr(cartcodes.lcd, "_intersection_vals", drop_one_row)
     with pytest.raises(InconsistencyError, match="hull dimension 2 .* 1 .basis"):
         is_lcd_bruteforce(spec)
+
+
+def test_bruteforce_refuses_stacks_past_the_budget(monkeypatch):
+    # the n x n stack of code and dual rows: 1000^2 cells pass, 1001^2 are
+    # refused before a generator is built or a row eliminated
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    field = GF(1009)
+    small = CartesianSpec.from_ints(field, [range(1000)], [1] * 1000, 1)
+    big = CartesianSpec.from_ints(field, [range(1001)], [1] * 1001, 1)
+    big_code = generator_matrix(big)
+    monkeypatch.setattr(cartcodes.lcd, "generator_matrix", reached)
+    monkeypatch.setattr(cartcodes.lcd, "_matmul_vals", reached)
+    with pytest.raises(Reached):
+        is_lcd_bruteforce(small)
+    for code in (None, big_code):
+        with pytest.raises(BudgetExceededError) as err:
+            is_lcd_bruteforce(big, code=code)
+        assert (err.value.required, err.value.budget) == (1001**2, DEFAULT_BRUTE_BUDGET)
 
 
 def test_eea_and_bruteforce_agree_small_sweep():

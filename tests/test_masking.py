@@ -19,6 +19,7 @@ from cartcodes import (
     masking_transcript,
     split,
 )
+from cartcodes import masking
 
 F7 = GF(7)
 
@@ -194,6 +195,24 @@ def test_transcript_exhaustive():
     assert transcript["detected"] == 343 - 49
     assert transcript["all_missed_in_C"] is True
     assert transcript["low_weight_missed"] == 0
+
+
+def test_transcript_exhaustive_splits_its_fixed_z_once(monkeypatch):
+    # q^n faults on one z: one split of z, one of each faulted vector; the
+    # seeded run draws a fresh z per fault and splits both
+    calls = []
+
+    def counting_split(ctx, z):
+        calls.append(z)
+        return split(ctx, z)
+
+    monkeypatch.setattr(masking, "split", counting_split)
+    transcript = masking_transcript(LCD_SPEC, exhaustive=True)
+    assert len(calls) == 7**3 + 1
+    assert (transcript["detected"], transcript["missed"]) == (343 - 49, 49)
+    del calls[:]
+    masking_transcript(LCD_SPEC, trials=10, seed=3)
+    assert len(calls) == 2 * 10
 
 
 def test_transcript_exhaustive_has_a_budget():

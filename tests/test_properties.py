@@ -38,9 +38,18 @@ from cartcodes import (
     subspace_intersection,
     vanishing_poly,
 )
-from cartcodes import linalg
+from cartcodes import lcd, linalg, multipoly
+from cartcodes.errors import InconsistencyError
 from cartcodes.field import _divmod_vals, _slot_layout, _trim
-from cartcodes.lcd import LCD, PointSetData
+from cartcodes.lcd import (
+    INAPPLICABLE,
+    LCD,
+    NOT_LCD,
+    UNKNOWN,
+    PointSetData,
+    lcd_necessity_check,
+    not_lcd_product,
+)
 from cartcodes.linalg import (
     _echelon_entries,
     _echelon_vals,
@@ -1158,6 +1167,104 @@ def test_product_sufficiency_inclusive_bound_regression():
     grid = CartesianSet([A, A])
     spec = CartesianSpec(grid, cartesian_scalars([v, [F7.one] * 3]), 1)
     assert not is_lcd_bruteforce(spec).is_lcd
+
+
+# The product criteria with a fresh analysis per call, as they read before
+# they shared one analysis per (point set, scalar vector): the reference the
+# shared table is tested against.
+
+
+def fresh_product_sufficient(components, k):
+    for points, scalars in components:
+        analysis = UnivariateLcdAnalysis(points, scalars)
+        for t in range(1, min(k, len(points)) + 1):
+            if not analysis.is_lcd(t):
+                return UNKNOWN
+    return LCD
+
+
+def fresh_not_lcd_product(components):
+    for points, scalars, t in components:
+        if UnivariateLcdAnalysis(points, scalars).is_lcd(t):
+            return UNKNOWN
+    return NOT_LCD
+
+
+def fresh_necessity_check(components, k):
+    if k >= min(len(points) for points, _ in components):
+        return INAPPLICABLE
+    grid = CartesianSet([list(points) for points, _ in components])
+    product = cartesian_scalars([list(scalars) for _, scalars in components])
+    if not is_lcd_bruteforce(CartesianSpec(grid, product, k)).is_lcd:
+        return NOT_LCD
+    for points, scalars in components:
+        if not UnivariateLcdAnalysis(points, scalars).is_lcd(k):
+            raise InconsistencyError(f"component of degree {k} is not LCD")
+    return LCD
+
+
+def test_product_criteria_shared_analyses_match_fresh_ones():
+    # the same codes over GF(2^3) under two moduli are two components: the
+    # degree-2 code on {0, 1, 2} with scalars (1, 2, 5) is LCD under one
+    # modulus only, whichever the table saw first
+    default, twin = GF(2, 3), GF(2, 3, modulus=[1, 0, 1, 1])
+    for first, second in ((default, twin), (twin, default)):
+        lcd._shared_analysis.cache_clear()
+        for field in (first, second):
+            component = ([field._get(c) for c in (0, 1, 2)], [field._get(c) for c in (1, 2, 5)], 2)
+            assert not_lcd_product([component]) == (NOT_LCD if field is default else UNKNOWN)
+    # components come from a small pool per field, and each case reads them
+    # once per degree, so the shared table serves most lookups
+    lcd._shared_analysis.cache_clear()
+    rng = random.Random(0x5A4E)
+    fields = LINALG_FIELDS + [twin]
+    pools = {}
+    for field in fields:
+        point_sets = [random_subset(rng, field, 1, 4) for _ in range(3)]
+        pools[field] = [
+            (points, random_scalars(rng, field, len(points)))
+            for points in point_sets for _ in range(2)
+        ]
+    verdicts = set()
+    for case in range(CASES):
+        field = fields[case % len(fields)]
+        m = rng.randrange(1, 4)
+        components = [rng.choice(pools[field]) for _ in range(m)]
+        cap = sum(len(points) - 1 for points, _ in components)
+        for k in range(1, cap + 2):
+            got = is_lcd_product_sufficient(components, k)
+            assert got == fresh_product_sufficient(components, k)
+            verdicts.add(("sufficient", got))
+        degrees = [rng.randrange(1, len(points) + 1) for points, _ in components]
+        with_degrees = [(p, v, t) for (p, v), t in zip(components, degrees)]
+        got = not_lcd_product(with_degrees)
+        assert got == fresh_not_lcd_product(with_degrees)
+        verdicts.add(("not-lcd", got))
+        if math.prod(len(points) for points, _ in components) <= 24:
+            k = rng.randrange(1, max(len(points) for points, _ in components) + 1)
+            got = lcd_necessity_check(components, k)
+            assert got == fresh_necessity_check(components, k)
+            verdicts.add(("necessity", got))
+    assert len(verdicts) == 7  # every verdict of every criterion was reached
+    info = lcd._shared_analysis.cache_info()
+    assert info.hits > 4 * info.misses
+
+
+def test_shared_analysis_table_stays_within_its_bound():
+    lcd._shared_analysis.cache_clear()
+    field = GF(1009)
+    points = [field._get(x) for x in range(4)]
+    rng = random.Random(0x7AB1)
+    for count in range(2 * lcd._SHARED_ANALYSES):
+        scalars = random_scalars(rng, field, 4)
+        assert is_lcd_product_sufficient([(points, scalars)], 4) == fresh_product_sufficient(
+            [(points, scalars)], 4
+        )
+        assert lcd._shared_analysis.cache_info().currsize <= lcd._SHARED_ANALYSES
+    assert lcd._shared_analysis.cache_info().currsize == lcd._SHARED_ANALYSES
+    for k in range(1, 2 * multipoly._MONOMIAL_BASES + 2):
+        monomial_basis(CartesianSet([points, points]), k)
+        assert multipoly._monomial_basis.cache_info().currsize <= multipoly._MONOMIAL_BASES
 
 
 def test_polynomial_membership_criterion_equivalent():
