@@ -812,7 +812,8 @@ class Field:
         of each operation:
 
         - ``add(a, b)``, ``mul(a, b)``, ``neg(a)``, and ``inv(a)`` for
-          nonzero ``a``;
+          nonzero ``a`` (unchecked: ``inv(0)`` of a prime field raises, or
+          gives ``None`` from the table, on which arithmetic raises);
         - ``dot(x, y)``: the sum of ``x[j] * y[j]``;
         - ``sub_mul(y, a, x, shift)``: the row update
           ``y[shift + j] -= a * x[j]`` for every ``j``, in place;
@@ -872,8 +873,9 @@ class Field:
                 return -a % p
 
             if p <= _INV_TABLE_MAX:
-                # 1/a = -(p // a) / (p mod a), as p = (p // a) a + p mod a
-                inv_v = [0, 1]
+                # 1/a = -(p // a) / (p mod a), as p = (p // a) a + p mod a;
+                # None at 0, so arithmetic on the inverse of zero raises
+                inv_v = [None, 1]
                 for a in range(2, p):
                     inv_v.append((p - p // a) * inv_v[p % a] % p)
                 inv = inv_v.__getitem__

@@ -187,9 +187,9 @@ class UnivariateLcdAnalysis:
 # The product criteria read one analysis per (point set, scalar vector) from
 # this table, keyed by the elements, that is by field and codes, as fields
 # are interned.  It keeps the _SHARED_ANALYSES most recently used, enough
-# for every component of a grid through its degree loops; each entry it
-# keeps raised the sweep benchmark's peak RSS, by about 0.5 MB at 256.  Its
-# analyses never leave this module.
+# for every component of a grid through its degree loops and no more, as
+# each kept entry pins its analysis in memory.  Its analyses never leave
+# this module.
 _SHARED_ANALYSES = 8
 
 

@@ -46,6 +46,9 @@ def test_prime_inverses_on_both_sides_of_the_table_bound():
     for p in (2, 3, 4091, 4093, 4099):
         inv = GF(p).inv
         assert all(a * inv(a) % p == 1 for a in range(1, p)), p
+        # zero has no inverse: arithmetic on it fails rather than reading 0
+        with pytest.raises((TypeError, ValueError)):
+            GF(p).mul(2, inv(0))
 
 
 def test_enumerate_order():
