@@ -10,7 +10,7 @@ vectors mean equal elements, and operations on elements of different fields
 This is the only module that knows how a field does its arithmetic.  Each
 :class:`Field` carries primitives on raw integer codes (see
 :meth:`Field._make_primitives`): prime fields compute inline mod p, small
-extension fields look codes up in flat integer tables, larger ones work on
+extension fields look codes up in flat byte tables, larger ones work on
 coefficient vectors.  :class:`FieldElement` operations and the elimination
 and polynomial kernels all run on those primitives; prime fields and the
 tabled fields of characteristic 2 also eliminate and multiply matrices on
@@ -751,32 +751,31 @@ class Field:
         coeffs = _trim(list(self._coeff_vector(a)))
         return self._pack(_eea_vals(self._base, list(self.modulus), coeffs)[2][-1])
 
-    def _build_tables(self) -> tuple[list[int], list[int], list[int], list[int], list[bytes]]:
-        """Flat integer tables of an extension field of order q <= 256:
+    def _build_tables(self) -> tuple[bytes, bytes, bytes, bytes, list[bytes]]:
+        """Flat byte tables of an extension field of order q <= 256:
         addition and multiplication indexed ``a * q + b``, negation and
-        inverse by ``a``; and the multiplication rows as ``bytes``.
+        inverse by ``a``; and the multiplication rows.
 
-        The tables are built as ``bytes`` by C-level translations, with no
-        Python loop over their q^2 entries, then flattened into lists, whose
-        indexing is faster.  The addition table takes e (p - 1) translations
-        (:func:`_addition_table`).  Multiplication row a maps b to
-        exp[log a + log b], for the exponent table of the smallest primitive
-        element, so it is the logarithms translated through that table
-        rotated by log a.
+        C-level translations build them, with no Python loop over their q^2
+        entries: e (p - 1) for addition (:func:`_addition_table`), one per
+        multiplication row.  Row a maps b to exp[log a + log b], for the
+        exponent table of the smallest primitive element: the logarithms
+        translated through that table rotated by log a.  GF(2^8)'s take
+        202 KB (1.1 MB as lists).  Indexing bytes is 10 to 50% slower in a
+        hot loop, yet GF(2^8) codes of length 32 and 64 decide 1 to 10%
+        faster, their tables staying in cache; GF(3^2) codes 3% slower.
         """
         q, p = self.order, self.p
         add = _addition_table(p, self.extension_degree)
         exp = self._primitive_powers(add)
-        neg_v = [add.index(0, a * q) - a * q for a in range(q)]
-        add_v = list(add)
-        del add  # freed before the second flat table is built
+        neg = bytes(add.index(0, a * q) - a * q for a in range(q))
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
         logs, rotations = bytes(log[1:]), bytes(exp) * 2 + bytes(256)
         mul_rows = [bytes(q)] + [b"\0" + logs.translate(rotations[la : la + 256]) for la in log[1:]]
-        inv_v = [0] + [exp[-la] for la in log[1:]]
-        return add_v, list(b"".join(mul_rows)), neg_v, inv_v, mul_rows
+        inv = bytes([0] + [exp[-la] for la in log[1:]])
+        return add, b"".join(mul_rows), neg, inv, mul_rows
 
     def _primitive_powers(self, add: bytes) -> list[int]:
         """Codes of g^0, ..., g^(q-2) for the smallest primitive element g,
@@ -839,7 +838,7 @@ class Field:
           faster on the packed primitive; always false without one.
 
         Prime fields compute with inline ``% p``; extension fields of order
-        up to 256 look codes up in the flat integer tables of
+        up to 256 look codes up in the flat byte tables of
         :meth:`_build_tables`, and larger ones fall back to coefficient-vector
         arithmetic.  Each kind has one body per primitive.  ``sub_mul``
         skips zero entries of ``x``, so sparse rows cost less.  Elimination

@@ -49,8 +49,8 @@ field packs, see ``_PACK_RULES`` in field.py):
     GF(251)    0.49/0.68  0.69/0.66  1.13/1.06* 1.01/0.79  1.35/1.27* 1.47/1.04* 2.97/1.99*
     GF(65521)  0.44/0.45  0.89/0.72  1.20/1.14* 1.14/0.83  1.52/1.34* 1.40/1.15* 3.14/2.02*
     GF(2^31-1) 0.67/0.64  0.93/0.91  1.16/1.10* 1.14/0.80  1.55/1.37* 1.70/1.15* 3.29/2.02*
-    GF(2^4)    0.85/0.92  1.37/1.24* 2.42/4.16* 1.36/1.32* 2.27/2.34* 2.12/1.70* 4.08/2.75*
-    GF(2^8)    0.91/0.96  1.52/1.71* 2.64/3.35* 1.62/1.47* 2.63/2.77* 2.26/1.96* 4.75/3.32*
+    GF(2^4)    0.70/0.72  1.27/1.37* 2.06/2.58* 1.27/1.20* 2.46/2.44* 1.89/1.70* 3.97/2.83*
+    GF(2^8)    0.81/0.95  1.69/1.96* 3.12/3.94* 1.63/1.48* 2.92/3.08* 2.53/2.05* 5.38/3.66*
 
 At 32x64 every field packs, at 2.0 to 11 times the per-entry speed.  Up
 to GF(13) the rule follows the Zassenhaus matrices of small product grids

@@ -419,13 +419,28 @@ def test_tables_match_the_per_entry_build(p, e, modulus):
     q = field.order
     add_v, mul_v, neg_v, inv_v, _ = field._build_tables()
     reference = _reference_tables(field)
-    assert [add_v, mul_v, neg_v, inv_v] == list(reference)
-    assert all(type(table) is list for table in (add_v, mul_v, neg_v, inv_v))
+    assert [list(add_v), list(mul_v), list(neg_v), list(inv_v)] == list(reference)
+    assert all(type(table) is bytes for table in (add_v, mul_v, neg_v, inv_v))
     if p == 2:
         # the translation tables of the XOR kernels are the same rows
         tables = field.packed_matmul.args[0]
         assert tables == [bytes(reference[1][a * q : a * q + q]) + bytes(256 - q)
                           for a in range(q)]
+
+
+def test_tabled_field_tables_stay_compact():
+    # GF(2^8) holds two 64 KB flat tables and 64 KB of multiplication rows;
+    # as lists of integers the two flat tables alone would take 1.1 MB
+    import tracemalloc
+
+    field = GF(2, 8)
+    tracemalloc.start()
+    try:
+        field._build_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000
 
 
 def test_fields_and_elements_pickle():
